@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .kostant import QPolynomial, has_partition, kostant_partition, kostant_partition_q
+from .kostant import QPolynomial, has_partition, kostant_counts
 from .reporting import Report
 from .rootsys import (
     RootSystem,
@@ -201,6 +201,18 @@ def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
     )
 
 
+def _alternating_sum(rs: RootSystem, lam, mu, graded: bool):
+    """Signed Kostant counts at sigma(lambda + rho) - mu - rho, from one table."""
+    lam_rho = wadd(as_weight(lam), rs.rho)
+    mu_rho = wadd(as_weight(mu), rs.rho)
+    aset = compute(rs, lam, mu)
+    args = [wsub(act(rs, sigma, lam_rho), mu_rho) for sigma in aset]
+    total = QPolynomial() if graded else 0
+    for sigma, value in zip(aset, kostant_counts(rs, args, graded)):
+        total = total - value if sigma.length % 2 else total + value
+    return total
+
+
 def multiplicity(rs: RootSystem, lam, mu) -> int:
     """Weight multiplicity via the alternating sum over the alternation set.
 
@@ -208,15 +220,7 @@ def multiplicity(rs: RootSystem, lam, mu) -> int:
     >>> multiplicity(rs, rs.highest_root, zero_weight(2))
     2
     """
-    lam = as_weight(lam)
-    mu = as_weight(mu)
-    lam_rho = wadd(lam, rs.rho)
-    mu_rho = wadd(mu, rs.rho)
-    total = 0
-    for sigma in compute(rs, lam, mu):
-        value = kostant_partition(rs, wsub(act(rs, sigma, lam_rho), mu_rho))
-        total += -value if sigma.length % 2 else value
-    return total
+    return _alternating_sum(rs, lam, mu, graded=False)
 
 
 def q_multiplicity(rs: RootSystem, lam, mu) -> QPolynomial:
@@ -226,15 +230,7 @@ def q_multiplicity(rs: RootSystem, lam, mu) -> QPolynomial:
     >>> print(q_multiplicity(rs, rs.highest_root, (-1, 0, 0)))
     q^4 + q^3 - q
     """
-    lam = as_weight(lam)
-    mu = as_weight(mu)
-    lam_rho = wadd(lam, rs.rho)
-    mu_rho = wadd(mu, rs.rho)
-    total = QPolynomial()
-    for sigma in compute(rs, lam, mu):
-        value = kostant_partition_q(rs, wsub(act(rs, sigma, lam_rho), mu_rho))
-        total = total - value if sigma.length % 2 else total + value
-    return total
+    return _alternating_sum(rs, lam, mu, graded=True)
 
 
 def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:

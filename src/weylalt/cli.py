@@ -359,8 +359,6 @@ def _count_cell(triple):
 
 
 def _cmd_counts(args) -> int:
-    if args.max_rank < 1:
-        raise UsageError("--max-rank must be at least 1")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     grand = series_grand(args.max_rank)
@@ -465,26 +463,27 @@ def _suite_bijection(args) -> Report:
 
 
 def _run_suite(args) -> tuple[Report, str | None]:
-    max_rank = args.max_rank
+    def max_rank(default: int) -> int:
+        return default if args.max_rank is None else args.max_rank
     if args.suite == "ideal":
         return _suite_ideal(args), None
     if args.suite == "bijection":
         return _suite_bijection(args), None
     if args.suite == "catalog":
-        return verify_catalogs(max_rank or 9), None
+        return verify_catalogs(max_rank(9)), None
     if args.suite == "recurrences":
-        return verify_recurrences(max_rank or 9), None
+        return verify_recurrences(max_rank(9)), None
     if args.suite == "genfunc":
-        return verify_generating_functions(max_rank or 9), None
+        return verify_generating_functions(max_rank(9)), None
     if args.suite == "conjecture":
-        return verify_conjecture(max_rank or 7), _CONJECTURE_BANNER
+        return verify_conjecture(max_rank(7)), _CONJECTURE_BANNER
     if args.suite == "appendix":
         report = Report(title="forbidden words and product trichotomy")
-        report.absorb(verify_forbidden(max_rank or 8))
-        report.absorb(verify_trichotomy(4, max_rank or 8))
+        report.absorb(verify_forbidden(max_rank(8)))
+        report.absorb(verify_trichotomy(4, max_rank(8)))
         return report, None
     report = Report(title="sequence encodings")
-    for r in range(1, (max_rank or 10) + 1):
+    for r in range(1, max_rank(10) + 1):
         report.absorb(verify_x_bijection(r))
     return report, None
 
@@ -531,11 +530,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag, floor in (("max_rank", 1), ("max_degree", 0), ("pairs", 0)):
+            value = getattr(args, flag, None)
+            if value is not None and value < floor:
+                raise UsageError(f"--{flag.replace('_', '-')} must be at least {floor}")
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EmptyAlternationSetError, GroupSizeError, ValueError) as exc:
+    except (EmptyAlternationSetError, GroupSizeError, ValueError, OSError) as exc:
         print(json.dumps({"ok": False, "error": str(exc)}))
         return 1
 

@@ -6,6 +6,12 @@ the count by total number of roots used, returning a polynomial whose q^k
 coefficient counts the expressions of k parts.  The zero vector has exactly
 one expression (the empty one).
 
+All counts come from one table, the product over positive roots beta of
+1/(1 - q x^beta) on a box [0, top], built one root at a time; plain counts
+are that table at q = 1.  kostant_counts reads a whole batch from one
+table.  A table over MAX_TABLE_SIZE raises ValueError before it is
+allocated, which the CLI reports as exit 1 with one JSON line.
+
 >>> rs = build_root_system(RootSystemSpec("A", 2))
 >>> kostant_partition(rs, (1, 1))
 2
@@ -17,16 +23,24 @@ q^2 + q
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+from operator import mul
 
 from .rootsys import RootSystem, RootSystemSpec, build_root_system
 
 __all__ = [
     "QPolynomial",
+    "kostant_counts",
     "kostant_partition",
     "kostant_partition_q",
     "has_partition",
 ]
+
+#: Largest table built: cells for plain counts, cells times (height(top) + 1)
+#: for graded ones, whose cells pack that many coefficients each.
+MAX_TABLE_SIZE = 2_000_000
 
 
 class QPolynomial:
@@ -118,76 +132,68 @@ class QPolynomial:
         return f"QPolynomial({str(self)!r})"
 
 
-def _integer_coordinates(rs: RootSystem, xi):
-    """Exact integer coordinates of xi, or None when some entry is fractional."""
+def _coordinates(rs: RootSystem, xi):
+    """Exact coordinates of xi, or None when some entry is fractional or negative."""
     if len(xi) != rs.rank:
         raise ValueError(f"expected a vector of length {rs.rank}, got {len(xi)}")
-    out = []
-    for c in xi:
-        value = Fraction(c)
-        if value.denominator != 1:
-            return None
-        out.append(int(value))
-    return tuple(out)
+    out = tuple(Fraction(c) for c in xi)
+    if any(c.denominator != 1 or c < 0 for c in out):
+        return None
+    return tuple(int(c) for c in out)
 
 
-def _count(roots, target) -> int:
-    """Expressions of target using roots[k:] in order, root k first.
+def _table(roots, top, shift: int):
+    """The product of 1/(1 - q x^beta) over roots on [0, top], with q = 2**shift.
 
-    Memoized on (k, residual); each root may repeat, and the fixed processing
-    order means each multiset is counted once.
+    Cells are flattened row-major; the strides are returned with them.  The
+    simple root alpha_r, the one positive root on the last axis alone, seeds
+    the first row with the powers of q.  Every other factor adds q times
+    cell c - beta, which lies in an earlier row, into each cell c >= beta,
+    so the rows taken in order update as one slice each.
     """
-    memo: dict = {}
-
-    def rec(k: int, res) -> int:
-        if not any(res):
-            return 1
-        if k == len(roots):
-            return 0
-        key = (k, res)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = rec(k + 1, res)
-        root = roots[k]
-        sub = tuple(a - b for a, b in zip(res, root))
-        if all(c >= 0 for c in sub):
-            total += rec(k, sub)
-        memo[key] = total
-        return total
-
-    return rec(0, target)
+    strides = [math.prod(t + 1 for t in top[k + 1 :]) for k in range(len(top))]
+    cells = [0] * (strides[0] * (top[0] + 1))
+    cells[: top[-1] + 1] = [1 << (k * shift) for k in range(top[-1] + 1)]
+    for beta in (b for b in roots if any(b[:-1])):
+        step = sum(map(mul, beta, strides))
+        leading = [range(b, t + 1) for b, t in zip(beta[:-1], top[:-1])]
+        for prefix in itertools.product(*leading):
+            start = sum(map(mul, prefix, strides)) + beta[-1]
+            end = start - beta[-1] + top[-1] + 1
+            old, back = cells[start:end], cells[start - step : end - step]
+            cells[start:end] = [x + (y << shift) for x, y in zip(old, back)]
+    return cells, strides
 
 
-def _count_q(roots, target) -> tuple[int, ...]:
-    """Like _count but graded by the number of parts; returns raw coefficients."""
-    memo: dict = {}
+def kostant_counts(rs: RootSystem, xis, graded: bool = False) -> list:
+    """Kostant counts (QPolynomials when graded) of every vector in xis.
 
-    def rec(k: int, res) -> tuple[int, ...]:
-        if not any(res):
-            return (1,)
-        if k == len(roots):
-            return ()
-        key = (k, res)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = rec(k + 1, res)
-        root = roots[k]
-        sub = tuple(a - b for a, b in zip(res, root))
-        if all(c >= 0 for c in sub):
-            used_again = rec(k, sub)
-            if used_again:
-                shifted = (0,) + used_again
-                if len(total) < len(shifted):
-                    total, shifted = shifted, total
-                total = tuple(
-                    x + y for x, y in zip(total, shifted)
-                ) + total[len(shifted):]
-        memo[key] = total
-        return total
+    top is the componentwise maximum of the vectors with nonnegative integer
+    coordinates; the others count 0.  Graded counts take q = 2**shift wider
+    than any coefficient, each at most the product over beta of
+    1 + min_k floor(top_k / beta_k), the multiples of beta under top.
+    A table over MAX_TABLE_SIZE raises ValueError before it is allocated.
 
-    return rec(0, target)
+    >>> rs = build_root_system(RootSystemSpec("A", 2))
+    >>> kostant_counts(rs, [(2, 2), (1, 0), (-1, 0)])
+    [3, 1, 0]
+    """
+    coords = [_coordinates(rs, xi) for xi in xis]
+    top = tuple(map(max, zip(*filter(None, coords)))) or (0,) * rs.rank
+    size = math.prod(t + 1 for t in top) * (sum(top) + 1 if graded else 1)
+    if size > MAX_TABLE_SIZE:
+        raise ValueError(f"Kostant table of size {size} exceeds the budget {MAX_TABLE_SIZE}")
+    bound = math.prod(
+        1 + min(t // b for t, b in zip(top, beta) if b) for beta in rs.positive_roots
+    )
+    shift = bound.bit_length() if graded else 0
+    cells, strides = _table(rs.positive_roots, top, shift)
+    values = [0 if c is None else cells[sum(map(mul, c, strides))] for c in coords]
+    if not graded:
+        return values
+    mask = (1 << shift) - 1
+    degrees = range(sum(top) + 1)
+    return [QPolynomial(v >> k * shift & mask for k in degrees) for v in values]
 
 
 def kostant_partition(rs: RootSystem, xi) -> int:
@@ -202,10 +208,7 @@ def kostant_partition(rs: RootSystem, xi) -> int:
     >>> kostant_partition(rs, (-1, 0, 0))
     0
     """
-    coords = _integer_coordinates(rs, xi)
-    if coords is None or any(c < 0 for c in coords):
-        return 0
-    return _count(rs.positive_roots, coords)
+    return kostant_counts(rs, [xi])[0]
 
 
 def kostant_partition_q(rs: RootSystem, xi) -> QPolynomial:
@@ -217,10 +220,7 @@ def kostant_partition_q(rs: RootSystem, xi) -> QPolynomial:
     >>> print(kostant_partition_q(rs, (0, 0, 0)))
     1
     """
-    coords = _integer_coordinates(rs, xi)
-    if coords is None or any(c < 0 for c in coords):
-        return QPolynomial()
-    return QPolynomial(_count_q(rs.positive_roots, coords))
+    return kostant_counts(rs, [xi], graded=True)[0]
 
 
 def has_partition(rs: RootSystem, xi) -> bool:
@@ -237,5 +237,4 @@ def has_partition(rs: RootSystem, xi) -> bool:
     >>> has_partition(rs, (0, Fraction(1, 2), 0))
     False
     """
-    coords = _integer_coordinates(rs, xi)
-    return coords is not None and all(c >= 0 for c in coords)
+    return _coordinates(rs, xi) is not None

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from weylalt import cli
+from weylalt import cli, kostant
 from weylalt.altset import from_json as altset_from_json
 from weylalt.altset import to_json as altset_to_json
 from weylalt.reporting import Report
@@ -314,6 +314,64 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == "q^4 + q^3 - q\n"
+
+
+def test_out_flag_unwritable_exits_one(capsys, tmp_path):
+    code, out, err = _run(
+        capsys, "mult", "--family", "A", "--rank", "2",
+        "--lambda", "1,1", "--mu", "zero",
+        "--out", str(tmp_path / "missing" / "x.txt"),
+    )
+    assert code == 1
+    assert err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line)["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "xbij", "--max-rank", "0"),
+        ("verify", "xbij", "--max-rank", "-3"),
+        ("verify", "conjecture", "--max-rank", "-1"),
+        ("verify", "ideal", "--pairs", "-1"),
+        ("gf", "--series", "h", "--i", "1", "--max-degree", "-1"),
+        ("gf", "--series", "grand", "--max-rank", "0"),
+        ("counts", "--max-rank", "0"),
+    ],
+)
+def test_size_flags_out_of_range_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least" in err
+
+
+_LARGE_WEIGHT = (
+    "--family", "A", "--rank", "2", "--lambda", "1000,1000", "--mu", "zero",
+)
+
+
+def test_mult_large_weight_needs_no_recursion(capsys):
+    # Weight 0 has multiplicity min(a, b) + 1 = 1001 in V(1000 (w1 + w2)).
+    code, out, err = _run(capsys, "mult", *_LARGE_WEIGHT)
+    assert code == 0
+    assert out == "1001\n"
+    assert err == ""
+
+
+def test_qmult_over_table_budget_exits_one(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the table was built despite the budget")
+
+    monkeypatch.setattr(kostant, "_table", no_table)
+    code, out, err = _run(capsys, "qmult", *_LARGE_WEIGHT)
+    assert code == 1
+    assert err == ""
+    (line,) = out.splitlines()
+    payload = json.loads(line)
+    assert payload["ok"] is False
+    assert "budget" in payload["error"]
 
 
 def test_version_flag(capsys):

@@ -3,16 +3,32 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from weylalt.altset import (
+    compute_naive,
+    multiplicity,
+    q_multiplicity,
+    sample_weight_pairs,
+)
 from weylalt.kostant import (
     QPolynomial,
     has_partition,
+    kostant_counts,
     kostant_partition,
     kostant_partition_q,
 )
-from weylalt.rootsys import RootSystemSpec, build_root_system
+from weylalt.rootsys import (
+    RootSystemSpec,
+    build_root_system,
+    fundamental_weights,
+    wadd,
+    wsub,
+    zero_weight,
+)
+from weylalt.weyl import act, from_word
 
 
 def _rs(family, rank):
@@ -150,3 +166,100 @@ def test_length_mismatch_rejected():
         kostant_partition(rs, (1, 1))
     with pytest.raises(ValueError):
         has_partition(rs, (1, 1, 1, 1))
+
+
+def _oracle_alternating_sums(rs, lam, mu):
+    """Signed brute-force counts over the exhaustive alternation set.
+
+    Returns the plain sum and the graded one as a {parts: coefficient} map.
+    """
+    plain, graded = 0, {}
+    lam_rho, mu_rho = wadd(lam, rs.rho), wadd(mu, rs.rho)
+    for sigma in compute_naive(rs, lam, mu):
+        target = tuple(int(c) for c in wsub(act(rs, sigma, lam_rho), mu_rho))
+        sign = -1 if sigma.length % 2 else 1
+        for parts, count in _oracle_count_by_parts(rs.positive_roots, target).items():
+            plain += sign * count
+            graded[parts] = graded.get(parts, 0) + sign * count
+    return plain, graded
+
+
+@pytest.mark.filterwarnings("ignore:lambda is not dominant integral")
+@pytest.mark.parametrize(
+    "family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+)
+def test_alternating_sums_match_brute_force_oracle(family, rank):
+    rs = _rs(family, rank)
+    s1 = from_word(rs, (1,))
+    for lam, mu in sample_weight_pairs(rs, 6, seed=1):
+        # s1(lambda) is not dominant whenever lambda pairs positively with
+        # alpha_1, which sends both sums through the exhaustive fallback.
+        for weight in (lam, act(rs, s1, lam)):
+            plain, graded = _oracle_alternating_sums(rs, weight, mu)
+            assert multiplicity(rs, weight, mu) == plain
+            q_mult = q_multiplicity(rs, weight, mu)
+            assert q_mult.evaluate(1) == plain
+            assert q_mult == QPolynomial(
+                graded.get(k, 0) for k in range(max(graded, default=-1) + 1)
+            )
+
+
+def _zero_weight_closed_form(family, n, k):
+    """Multiplicity of weight 0 in V(k omega_1), k even outside type A.
+
+    V(k omega_1) is Sym^k of the defining representation in types A and C
+    and the degree-k harmonic polynomials in types B and D; counting their
+    zero-weight monomials gives these binomials.
+    """
+    if family == "A":
+        return int(k % (n + 1) == 0)
+    if family in ("B", "C"):
+        return comb(k // 2 + n - 1, n - 1)
+    return comb(k // 2 + n - 2, n - 2)
+
+
+@pytest.mark.parametrize(
+    "family,rank,ks",
+    [
+        ("A", 3, range(41)),
+        ("B", 3, range(0, 9, 2)),
+        ("C", 3, range(0, 9, 2)),
+        ("D", 4, range(0, 7, 2)),
+    ],
+)
+def test_zero_weight_multiplicity_closed_forms(family, rank, ks):
+    rs = _rs(family, rank)
+    omega = fundamental_weights(rs)[0]
+    for k in ks:
+        lam = tuple(k * c for c in omega)
+        expected = _zero_weight_closed_form(family, rank, k)
+        assert multiplicity(rs, lam, zero_weight(rank)) == expected
+        assert q_multiplicity(rs, lam, zero_weight(rank)).evaluate(1) == expected
+
+
+def test_batch_answers_match_single_vectors():
+    rs = _rs("B", 3)
+    batch = [
+        (2, 3, 4),
+        (-1, 0, 0),
+        (0, 0, 0),
+        (Fraction(1, 2), 1, 1),
+        (1, 1, 1),
+        (0, -2, 5),
+        (3, 0, 1),
+    ]
+    for graded in (False, True):
+        together = kostant_counts(rs, batch, graded)
+        alone = [kostant_counts(rs, [xi], graded)[0] for xi in batch]
+        assert together == alone
+    expressible = {(2, 3, 4), (0, 0, 0), (1, 1, 1), (3, 0, 1)}
+    assert kostant_counts(rs, batch) == [
+        sum(_oracle_count_by_parts(rs.positive_roots, xi).values())
+        if xi in expressible
+        else 0
+        for xi in batch
+    ]
+    assert kostant_counts(rs, [(-1, 0, 0), (0, Fraction(1, 3), 0)], True) == [
+        QPolynomial(),
+        QPolynomial(),
+    ]
