@@ -9,8 +9,8 @@ one expression (the empty one).
 All counts come from one table, the product over positive roots beta of
 1/(1 - q x^beta) on a box [0, top], built one root at a time; plain counts
 are that table at q = 1.  kostant_counts reads a whole batch from one
-table.  A table over MAX_TABLE_SIZE raises ValueError before it is
-allocated, which the CLI reports as exit 1 with one JSON line.
+table, or raises ValueError (exit 1 in the CLI) before allocating one whose
+estimated memory exceeds MAX_TABLE_BYTES.
 
 >>> rs = build_root_system(RootSystemSpec("A", 2))
 >>> kostant_partition(rs, (1, 1))
@@ -38,9 +38,9 @@ __all__ = [
     "has_partition",
 ]
 
-#: Largest table built: cells for plain counts, cells times (height(top) + 1)
-#: for graded ones, whose cells pack that many coefficients each.
-MAX_TABLE_SIZE = 2_000_000
+#: Largest table built, in bytes.  A cell costs a list slot and an int object,
+#: about 36 bytes in CPython, plus 4 bytes per 30 bits of its width.
+MAX_TABLE_BYTES = 2**29
 
 
 class QPolynomial:
@@ -171,8 +171,8 @@ def kostant_counts(rs: RootSystem, xis, graded: bool = False) -> list:
     top is the componentwise maximum of the vectors with nonnegative integer
     coordinates; the others count 0.  Graded counts take q = 2**shift wider
     than any coefficient, each at most the product over beta of
-    1 + min_k floor(top_k / beta_k), the multiples of beta under top.
-    A table over MAX_TABLE_SIZE raises ValueError before it is allocated.
+    1 + min_k floor(top_k / beta_k), the multiples of beta under top; a
+    graded cell c packs height(c) + 1 of them, height(top) / 2 + 1 on average.
 
     >>> rs = build_root_system(RootSystemSpec("A", 2))
     >>> kostant_counts(rs, [(2, 2), (1, 0), (-1, 0)])
@@ -180,13 +180,14 @@ def kostant_counts(rs: RootSystem, xis, graded: bool = False) -> list:
     """
     coords = [_coordinates(rs, xi) for xi in xis]
     top = tuple(map(max, zip(*filter(None, coords)))) or (0,) * rs.rank
-    size = math.prod(t + 1 for t in top) * (sum(top) + 1 if graded else 1)
-    if size > MAX_TABLE_SIZE:
-        raise ValueError(f"Kostant table of size {size} exceeds the budget {MAX_TABLE_SIZE}")
     bound = math.prod(
         1 + min(t // b for t, b in zip(top, beta) if b) for beta in rs.positive_roots
     )
     shift = bound.bit_length() if graded else 0
+    width = shift * (sum(top) // 2 + 1) if graded else bound.bit_length()
+    size = math.prod(t + 1 for t in top) * (36 + 4 * -(-width // 30))
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(f"Kostant table of ~{size} bytes exceeds the budget {MAX_TABLE_BYTES}")
     cells, strides = _table(rs.positive_roots, top, shift)
     values = [0 if c is None else cells[sum(map(mul, c, strides))] for c in coords]
     if not graded:

@@ -360,6 +360,25 @@ def test_mult_large_weight_needs_no_recursion(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "rank, lam, expected",
+    [
+        # Kostka-Foulkes K_{(60), (15^4)}(q) = q^90: zero weight of V(60 w1).
+        (3, "45,30,15", "q^90"),
+        # Zero weight of V(100 (w1 + w2)): q^200 + q^199 + ... + q^100.
+        (2, "100,100", " + ".join(f"q^{k}" for k in range(200, 99, -1))),
+    ],
+)
+def test_qmult_large_weights_within_table_budget(capsys, rank, lam, expected):
+    code, out, err = _run(
+        capsys, "qmult", "--family", "A", "--rank", str(rank),
+        "--lambda", lam, "--mu", "zero",
+    )
+    assert code == 0
+    assert out == expected + "\n"
+    assert err == ""
+
+
 def test_qmult_over_table_budget_exits_one(capsys, monkeypatch):
     def no_table(*args):
         raise AssertionError("the table was built despite the budget")
