@@ -5,8 +5,10 @@ sigma with P(sigma(lambda + rho) - mu - rho) > 0, the terms that actually
 contribute to the alternating multiplicity formula.  For dominant integral
 lambda the set is a lower ideal in both weak Bruhat orders, so it can be
 grown from the identity by following cover edges and never enumerating the
-full group; `compute` does exactly that and records the cover edges it
-crossed, while `compute_naive` filters a full enumeration as an oracle.
+full group; `compute` does exactly that, testing each cover on the integer
+residual sigma(lambda + rho) - mu - rho, and records the cover edges it
+crossed, while `compute_naive` filters a full enumeration with a matrix
+action as an oracle.
 
 >>> rs = build_root_system(RootSystemSpec("A", 3))
 >>> aset = compute(rs, rs.highest_root, zero_weight(3))
@@ -23,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .kostant import QPolynomial, has_partition, kostant_counts
+from .kostant import QPolynomial, kostant_counts
 from .reporting import Report
 from .rootsys import (
     RootSystem,
     RootSystemSpec,
     Weight,
+    _pairing,
     as_weight,
     build_root_system,
     fundamental_weights,
@@ -69,6 +72,14 @@ __all__ = [
     "to_dot",
 ]
 
+#: Largest alternation set `compute` grows, in bytes of estimated memory.  An
+#: element costs about 1024 + 64 * rank bytes: its object, word, residual key
+#: and edges, plus the few columns of its images matrix not shared with the
+#: element below it.  Peak RSS measured 900 + 37 * rank bytes per element of
+#: (highest root, -highest root) sets at ranks 15 to 40 in CPython 3.11; the
+#: rest is room for residual entries too large for the small-int cache.
+MAX_SET_BYTES = 2**28
+
 
 @dataclass(frozen=True)
 class AlternationSet:
@@ -103,14 +114,18 @@ def contains(rs: RootSystem, lam, mu, sigma: WeylElement) -> bool:
 
     Positivity of the partition count is just integrality plus
     nonnegativity of the argument (see `kostant.has_partition`), so this
-    never runs the counting recursion.
+    never counts; it is the same test `compute_naive` filters the group with.
     """
-    shifted = act(rs, sigma, wadd(as_weight(lam), rs.rho))
-    return has_partition(rs, wsub(wsub(shifted, as_weight(mu)), rs.rho))
+    return _acceptance_test(rs, as_weight(lam), as_weight(mu))(sigma.images)
 
 
 def _acceptance_test(rs: RootSystem, lam: Weight, mu: Weight):
-    """Matrix-level membership predicate, shared by the two computations."""
+    """Matrix-level membership predicate of `contains` and `compute_naive`.
+
+    It applies the images matrix to lambda + rho and shares nothing with the
+    residual recurrence of `compute`, so the exhaustive filter stays an
+    independent oracle for the ideal search.
+    """
     lam_rho = wadd(lam, rs.rho)
     mu_rho = wadd(mu, rs.rho)
 
@@ -128,12 +143,23 @@ def _acceptance_test(rs: RootSystem, lam: Weight, mu: Weight):
 
 
 def compute(rs: RootSystem, lam, mu) -> AlternationSet:
-    """Grow the alternation set upward from the identity.
+    """Grow the alternation set upward from the identity on integer residuals.
 
     Needs lambda dominant and integral, which is what makes the set an
     ideal in the weak orders; other lambda fall back to the exhaustive
     filter (with a warning) since the pruned search could then miss
     elements.
+
+    Each element sigma is keyed by its residual d(sigma) = sigma(lambda +
+    rho) - mu - rho, starting from d(e) = lambda - mu.  Crossing the cover
+    sigma s_i (an ascent: sigma(alpha_i) positive) subtracts
+    n_i sigma(alpha_i), where n_i = <lambda + rho, alpha_i^vee> >= 1, and
+    the cover is a member exactly when every entry stays nonnegative.  The
+    weight lambda + rho is regular, so distinct elements have distinct
+    residuals and one dict keyed by them dedupes the search.  Only accepted
+    covers get an images matrix, changed from sigma's in the columns of i
+    and its Dynkin neighbours.  Raises ValueError as soon as the set's
+    estimated memory passes MAX_SET_BYTES.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -143,39 +169,54 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
             stacklevel=2,
         )
         return compute_naive(rs, lam, mu)
-    accept = _acceptance_test(rs, lam, mu)
-    smats = _simple_matrices(rs)
-    start = identity(rs)
-    if not accept(start.images):
+    start_residual = wsub(lam, mu)
+    if any(c < 0 or c.denominator != 1 for c in start_residual):
         return AlternationSet(lam=lam, mu=mu, elements=(), edges=())
-    elements = [start]
-    by_images = {start.images: start}
-    status = {start.images: True}
+    r = rs.rank
+    lam_rho = wadd(lam, rs.rho)
+    steps = [int(_pairing(rs, lam_rho, i)) for i in range(r)]
+    touched = [[(j, rs.cartan[j][i]) for j in range(r) if rs.cartan[j][i]] for i in range(r)]
+    per_element = 1024 + 64 * r
+    limit = MAX_SET_BYTES // per_element
+    start = identity(rs)
+    queue = [(start, tuple(map(int, start_residual)))]
+    by_residual = {queue[0][1]: start}
     edges = []
-    cursor = 0
-    while cursor < len(elements):
-        sigma = elements[cursor]
-        cursor += 1
-        for i in range(rs.rank):
-            if not all(c >= 0 for c in sigma.images[i]):
+    # The loop reads covers appended behind it, so elements come out breadth-first.
+    for sigma, residual in queue:
+        images = sigma.images
+        for i in range(r):
+            col = images[i]
+            if min(col) < 0:
                 continue
-            grown = _mat_mul(sigma.images, smats[i])
-            known = status.get(grown)
-            if known is None:
-                known = accept(grown)
-                status[grown] = known
-                if known:
-                    tau = WeylElement(
-                        images=grown,
-                        word=sigma.word + (i + 1,),
-                        length=sigma.length + 1,
+            n = steps[i]
+            grown = tuple([a - n * b for a, b in zip(residual, col)])
+            tau = by_residual.get(grown)
+            if tau is None:
+                if min(grown) < 0:
+                    continue
+                cols = list(images)
+                for j, c in touched[i]:
+                    cols[j] = tuple([a - c * b for a, b in zip(images[j], col)])
+                tau = WeylElement(
+                    images=tuple(cols),
+                    word=sigma.word + (i + 1,),
+                    length=sigma.length + 1,
+                )
+                by_residual[grown] = tau
+                queue.append((tau, grown))
+                if len(queue) > limit:
+                    raise ValueError(
+                        f"alternation set of more than {limit} elements exceeds the "
+                        f"budget of {MAX_SET_BYTES} bytes (~{per_element} per element "
+                        f"at rank {r})"
                     )
-                    by_images[grown] = tau
-                    elements.append(tau)
-            if known:
-                edges.append((sigma, by_images[grown]))
+            edges.append((sigma, tau))
     return AlternationSet(
-        lam=lam, mu=mu, elements=tuple(elements), edges=tuple(edges)
+        lam=lam,
+        mu=mu,
+        elements=tuple(sigma for sigma, _ in queue),
+        edges=tuple(edges),
     )
 
 

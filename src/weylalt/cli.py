@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -529,6 +530,18 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Library warnings reach stderr as one plain line each, without the
+    # source path and code line that warnings.showwarning would print.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _dispatch(args)
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+
+
+def _dispatch(args) -> int:
     try:
         for flag, floor in (("max_rank", 1), ("max_degree", 0), ("pairs", 0)):
             value = getattr(args, flag, None)

@@ -1,7 +1,12 @@
 """Alternation sets: pruned search against the exhaustive filter."""
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylalt import altset
 from weylalt.altset import (
     compute,
     compute_naive,
@@ -20,7 +25,10 @@ from weylalt.kostant import QPolynomial
 from weylalt.rootsys import (
     RootSystemSpec,
     build_root_system,
+    fundamental_weights,
     neg_root,
+    wadd,
+    wsub,
     zero_weight,
 )
 from weylalt.weyl import from_word, word_text
@@ -173,3 +181,88 @@ def test_neg_root_weights_match_word_text_labels():
     assert neg_root(rs, 2, 4) == (0, -1, -1, -1)
     sigma = from_word(rs, (2, 3, 2))
     assert word_text(sigma.word) == "s2 s3 s2"
+
+
+def test_set_over_element_budget_raises(monkeypatch):
+    rs = _rs("A", 5)
+    mu = tuple(-c for c in rs.highest_root)
+    assert len(compute(rs, rs.highest_root, mu)) == 26
+    # Room for 25 elements of rank 5 at 1024 + 64 * 5 bytes each.
+    monkeypatch.setattr(altset, "MAX_SET_BYTES", 25 * (1024 + 64 * 5))
+    with pytest.raises(ValueError, match="more than 25 elements exceeds the budget"):
+        compute(rs, rs.highest_root, mu)
+    assert len(compute(rs, rs.highest_root, zero_weight(5))) == 5
+
+
+# sha256 of to_json at (highest root, -highest root), serialized before the
+# search moved from matrix actions to integer residuals.
+_PINNED_JSON = {
+    ("A", 6): "f33a6e4d149c7c7498d4ce17c3373f2fb8006f20cd5457a235c3c12a36ee830a",
+    ("B", 4): "69768440065f1a76dfe9554838d0fff685c806174abfe66674b34350e54494c0",
+    ("D", 5): "56f5afe12e24a7b7ffac4a57bf3b6afd924018199f0cd55ecbf3a7060db1bf9f",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(_PINNED_JSON))
+def test_highest_root_sets_serialize_to_pinned_bytes(family, rank):
+    rs = _rs(family, rank)
+    aset = compute(rs, rs.highest_root, tuple(-c for c in rs.highest_root))
+    digest = hashlib.sha256(to_json(rs, aset).encode()).hexdigest()
+    assert digest == _PINNED_JSON[(family, rank)]
+
+
+_PROPERTY_SYSTEMS = (
+    [("A", r) for r in range(2, 6)]
+    + [("B", r) for r in range(2, 5)]
+    + [("C", r) for r in range(2, 5)]
+    + [("D", 4), ("D", 5)]
+)
+
+
+@st.composite
+def _weight_pair(draw, rs):
+    """Dominant integral lambda and mu = lambda - v for an integral v.
+
+    v has entries in [-1, 6], so the set is empty exactly when some entry
+    is negative and otherwise ranges from the identity alone upward.
+    """
+    lam = zero_weight(rs.rank)
+    for omega in fundamental_weights(rs):
+        c = draw(st.integers(0, 3))
+        lam = wadd(lam, tuple(c * x for x in omega))
+    drop = draw(st.lists(st.integers(-1, 6), min_size=rs.rank, max_size=rs.rank))
+    return lam, wsub(lam, drop)
+
+
+_PROPERTY_SETTINGS = settings(max_examples=6, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("family,rank", _PROPERTY_SYSTEMS)
+@_PROPERTY_SETTINGS
+@given(data=st.data())
+def test_property_search_equals_oracle(family, rank, data):
+    rs = _rs(family, rank)
+    lam, mu = data.draw(_weight_pair(rs))
+    fast = compute(rs, lam, mu)
+    slow = compute_naive(rs, lam, mu)
+    assert fast.elements == slow.elements
+    assert [s.word for s in fast] == [s.word for s in slow]
+    assert [s.length for s in fast] == [s.length for s in slow]
+    assert len(fast.edges) == len(slow.edges)
+    assert {(a.word, b.word) for a, b in fast.edges} == {
+        (a.word, b.word) for a, b in slow.edges
+    }
+    assert verify_order_ideal(rs, lam, mu).ok
+
+
+@pytest.mark.parametrize("family,rank", _PROPERTY_SYSTEMS)
+@_PROPERTY_SETTINGS
+@given(data=st.data())
+def test_property_mu_off_the_root_lattice_coset_gives_empty_set(family, rank, data):
+    rs = _rs(family, rank)
+    lam, mu = data.draw(_weight_pair(rs))
+    # Every classical weight lattice is larger than its root lattice, so some
+    # fundamental weight has a fractional simple-root coordinate.
+    off = [w for w in fundamental_weights(rs) if any(c.denominator != 1 for c in w)]
+    shifted = wsub(mu, data.draw(st.sampled_from(off)))
+    assert len(compute(rs, lam, shifted)) == 0

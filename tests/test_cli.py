@@ -393,6 +393,35 @@ def test_qmult_over_table_budget_exits_one(capsys, monkeypatch):
     assert "budget" in payload["error"]
 
 
+def test_ideal_over_element_budget_exits_one(capsys):
+    # The A_40 set at (highest root, -highest root) is far too large to hold;
+    # the search stops at altset.MAX_SET_BYTES instead of exhausting memory.
+    code, out, err = _run(
+        capsys, "altset", "--family", "A", "--rank", "40",
+        "--lambda", "highest-root", "--mu", "neg-root:1:40",
+    )
+    assert code == 1
+    assert err == ""
+    (line,) = out.splitlines()
+    payload = json.loads(line)
+    assert payload["ok"] is False
+    assert "budget" in payload["error"]
+
+
+def test_library_warning_is_one_plain_stderr_line(capsys):
+    code, out, err = _run(
+        capsys, "mult", "--family", "C", "--rank", "3",
+        "--lambda", "3,4,5", "--mu", "1,1,1",
+    )
+    assert code == 0
+    assert out == "26\n"
+    assert err == (
+        "warning: lambda is not dominant integral; falling back to full enumeration\n"
+    )
+    assert "altset.py" not in err
+    assert "UserWarning" not in err
+
+
 def test_version_flag(capsys):
     code, out, _ = _run(capsys, "--version")
     assert code == 0
