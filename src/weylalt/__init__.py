@@ -34,14 +34,12 @@ from .bas import (
 )
 from .enumeration import (
     PowerSeries,
-    SequenceTable,
     alternation_count,
     count_neg_height2,
     count_neg_simple,
     fibonacci,
     h_value,
     highest_root_alternation_set,
-    lucas,
     p_value,
     series_expand,
     series_grand,
@@ -54,7 +52,6 @@ from .enumeration import (
 )
 from .kostant import (
     QPolynomial,
-    has_partition,
     kostant_partition,
     kostant_partition_q,
 )
@@ -89,7 +86,6 @@ from .weyl import (
     GroupSizeError,
     WeylElement,
     act,
-    all_reduced_words,
     enumerate_group,
     extended_influence,
     from_word,
@@ -97,7 +93,6 @@ from .weyl import (
     identity,
     independent,
     influence,
-    inverse,
     multiply,
     parse_word,
     word_text,

@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .kostant import QPolynomial, kostant_counts
 from .reporting import Report
@@ -47,7 +48,6 @@ from .weyl import (
     _mat_act,
     _mat_mul,
     _simple_matrices,
-    _word_matrix,
     act,
     enumerate_group,
     from_word,
@@ -112,9 +112,9 @@ class AlternationSet:
 def contains(rs: RootSystem, lam, mu, sigma: WeylElement) -> bool:
     """Membership test: P(sigma(lambda + rho) - mu - rho) > 0.
 
-    Positivity of the partition count is just integrality plus
-    nonnegativity of the argument (see `kostant.has_partition`), so this
-    never counts; it is the same test `compute_naive` filters the group with.
+    The simple roots are positive roots, so the count is positive exactly
+    when every coordinate of the argument is a nonnegative integer; this
+    never counts.  It is the same test `compute_naive` filters the group with.
     """
     return _acceptance_test(rs, as_weight(lam), as_weight(mu))(sigma.images)
 
@@ -278,7 +278,9 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
     """Check the set is closed downward under both weak orders.
 
     Every cover below a member (drop one generator on the right, or on the
-    left) must itself be a member.
+    left) must itself be a member.  sigma s_i lies below sigma when
+    sigma(alpha_i) is negative, and s_i sigma when <sigma(2 rho), alpha_i^vee>
+    is: 2 rho pairs positively with every positive coroot.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -287,9 +289,11 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
     )
     aset = compute(rs, lam, mu)
     smats = _simple_matrices(rs)
+    two_rho = tuple(int(2 * c) for c in rs.rho)
+    columns = [[row[i] for row in rs.cartan] for i in range(rs.rank)]
     images = {s.images for s in aset.elements}
     for sigma in aset.elements:
-        inv = _word_matrix(rs, reversed(sigma.word))
+        moved = _mat_act(sigma.images, two_rho)
         for i in range(rs.rank):
             if any(c < 0 for c in sigma.images[i]):
                 below = _mat_mul(sigma.images, smats[i])
@@ -299,7 +303,7 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
                         f"right cover below {word_text(s.word)} at s{k + 1} escapes the set"
                     ),
                 )
-            if any(c < 0 for c in inv[i]):
+            if sum(map(mul, moved, columns[i])) < 0:
                 below = _mat_mul(smats[i], sigma.images)
                 report.check(
                     below in images,

@@ -13,10 +13,14 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import __version__
 from .altset import (
@@ -46,6 +50,7 @@ from .enumeration import (
 )
 from .reporting import Report
 from .rootsys import (
+    FAMILIES,
     RootSystem,
     RootSystemSpec,
     as_weight,
@@ -65,17 +70,6 @@ from .weyl import GroupSizeError, word_text
 
 __all__ = ["run", "entry", "UsageError"]
 
-_VERIFY_SUITES = (
-    "ideal",
-    "bijection",
-    "catalog",
-    "recurrences",
-    "genfunc",
-    "conjecture",
-    "appendix",
-    "xbij",
-)
-
 _SAMPLED_SYSTEMS = (("A", 4), ("B", 3), ("C", 3), ("D", 4))
 
 _CONJECTURE_BANNER = (
@@ -84,16 +78,27 @@ _CONJECTURE_BANNER = (
     "passing checks do not constitute a proof."
 )
 
+# The decimal exponent of a coordinate such as 1e100; Fraction would expand
+# it into a power of ten with that many digits.
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*$", re.IGNORECASE)
+
 
 class UsageError(ValueError):
     """Bad flag values discovered after argparse accepts the shape."""
 
 
-def _system(args) -> RootSystem:
-    try:
-        return build_root_system(RootSystemSpec(args.family, args.rank))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _coordinate(text: str) -> Fraction:
+    """Fraction(text), refusing an exponent above the integer digit limit.
+
+    The limit is the one Python puts on integer literals
+    (sys.get_int_max_str_digits), so no coordinate costs more to read than
+    an integer the interpreter would accept.
+    """
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and int(exponent.group(1)) > limit:
+        raise ValueError(f"exponent of {text!r} exceeds {limit} digits")
+    return Fraction(text)
 
 
 def _parse_weight(rs: RootSystem, text: str, flag: str):
@@ -124,7 +129,7 @@ def _parse_weight(rs: RootSystem, text: str, flag: str):
         except ValueError as exc:
             raise UsageError(f"{flag}: {exc}") from exc
     try:
-        coords = tuple(Fraction(b) for b in item.split(","))
+        coords = tuple(_coordinate(b) for b in item.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{flag}: cannot parse weight {text!r}") from exc
     if len(coords) != rs.rank:
@@ -148,101 +153,7 @@ def _fraction_json(value: Fraction):
     return int(value) if value.denominator == 1 else str(value)
 
 
-def _add_system_flags(parser) -> None:
-    parser.add_argument("--family", required=True, choices=["A", "B", "C", "D"])
-    parser.add_argument("--rank", required=True, type=int)
-
-
-def _add_weight_flags(parser) -> None:
-    parser.add_argument(
-        "--lambda",
-        dest="lam",
-        required=True,
-        metavar="WEIGHT",
-        help="highest-root | zero | neg-root:i:j | partition:p1,p2,... | c1,c2,...",
-    )
-    parser.add_argument("--mu", required=True, metavar="WEIGHT")
-
-
-def _add_output_flags(parser, formats=("text", "json")) -> None:
-    if formats:
-        parser.add_argument("--format", choices=list(formats), default=formats[0])
-    parser.add_argument("--out", default=None, metavar="FILE")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="weylalt",
-        description="Weyl alternation sets, subword catalogs, and their checks.",
-    )
-    parser.add_argument("--version", action="version", version=f"weylalt {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("altset", help="compute one alternation set")
-    _add_system_flags(p)
-    _add_weight_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("bas", help="compute basic allowable subwords")
-    _add_system_flags(p)
-    _add_weight_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("mult", help="weight multiplicity")
-    _add_system_flags(p)
-    _add_weight_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("qmult", help="q-graded weight multiplicity")
-    _add_system_flags(p)
-    _add_weight_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("hasse", help="alternation-set cover graph as DOT")
-    _add_system_flags(p)
-    _add_weight_flags(p)
-    _add_output_flags(p, formats=())
-
-    p = sub.add_parser("depgraph", help="subword dependence graph as DOT")
-    _add_system_flags(p)
-    _add_weight_flags(p)
-    _add_output_flags(p, formats=())
-
-    p = sub.add_parser("catalog", help="closed-form subword catalog (family A)")
-    p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--i", required=True, type=int)
-    p.add_argument("--j", required=True, type=int)
-    _add_output_flags(p)
-
-    p = sub.add_parser("counts", help="CSV sweep of alternation-set sizes")
-    p.add_argument("--max-rank", type=int, default=9)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_output_flags(p, formats=())
-
-    p = sub.add_parser("gf", help="series coefficients of the counting functions")
-    p.add_argument(
-        "--series",
-        required=True,
-        choices=["p", "h", "p-bivariate", "h-bivariate", "grand"],
-    )
-    p.add_argument("--i", type=int, default=None, help="series index for p/h")
-    p.add_argument("--max-degree", type=int, default=DEFAULT_TRUNCATION)
-    p.add_argument("--max-rank", type=int, default=8)
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=list(_VERIFY_SUITES))
-    p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=20)
-    _add_output_flags(p)
-    return parser
-
-
-def _cmd_altset(args) -> int:
-    rs = _system(args)
-    lam = _parse_weight(rs, args.lam, "--lambda")
-    mu = _parse_weight(rs, args.mu, "--mu")
+def _cmd_altset(args, rs, lam, mu) -> int:
     aset = compute(rs, lam, mu)
     if args.format == "json":
         _emit(altset_to_json(rs, aset), args.out)
@@ -256,10 +167,7 @@ def _cmd_altset(args) -> int:
     return 0
 
 
-def _cmd_bas(args) -> int:
-    rs = _system(args)
-    lam = _parse_weight(rs, args.lam, "--lambda")
-    mu = _parse_weight(rs, args.mu, "--mu")
+def _cmd_bas(args, rs, lam, mu) -> int:
     basset = compute_bas(rs, lam, mu)
     if args.format == "json":
         _emit(bas_to_json(rs, basset), args.out)
@@ -274,59 +182,32 @@ def _cmd_bas(args) -> int:
     return 0
 
 
-def _mult_payload(args, graded: bool):
-    rs = _system(args)
-    lam = _parse_weight(rs, args.lam, "--lambda")
-    mu = _parse_weight(rs, args.mu, "--mu")
+def _cmd_mult(args, rs, lam, mu, graded: bool) -> int:
     value = q_multiplicity(rs, lam, mu) if graded else multiplicity(rs, lam, mu)
-    return rs, lam, mu, value
-
-
-def _cmd_mult(args) -> int:
-    rs, lam, mu, value = _mult_payload(args, graded=False)
-    if args.format == "json":
-        payload = {
-            "family": rs.spec.family,
-            "rank": rs.rank,
-            "lambda": [str(c) for c in lam],
-            "mu": [str(c) for c in mu],
-            "multiplicity": value,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
+    if args.format == "text":
         _emit(str(value), args.out)
+        return 0
+    payload = {
+        "family": rs.spec.family,
+        "rank": rs.rank,
+        "lambda": [str(c) for c in lam],
+        "mu": [str(c) for c in mu],
+    }
+    if graded:
+        payload["q_multiplicity"] = str(value)
+        payload["coefficients"] = list(value.coeffs)
+    else:
+        payload["multiplicity"] = value
+    _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
-def _cmd_qmult(args) -> int:
-    rs, lam, mu, value = _mult_payload(args, graded=True)
-    if args.format == "json":
-        payload = {
-            "family": rs.spec.family,
-            "rank": rs.rank,
-            "lambda": [str(c) for c in lam],
-            "mu": [str(c) for c in mu],
-            "q_multiplicity": str(value),
-            "coefficients": list(value.coeffs),
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(str(value), args.out)
-    return 0
-
-
-def _cmd_hasse(args) -> int:
-    rs = _system(args)
-    lam = _parse_weight(rs, args.lam, "--lambda")
-    mu = _parse_weight(rs, args.mu, "--mu")
+def _cmd_hasse(args, rs, lam, mu) -> int:
     _emit(altset_to_dot(compute(rs, lam, mu)), args.out)
     return 0
 
 
-def _cmd_depgraph(args) -> int:
-    rs = _system(args)
-    lam = _parse_weight(rs, args.lam, "--lambda")
-    mu = _parse_weight(rs, args.mu, "--mu")
+def _cmd_depgraph(args, rs, lam, mu) -> int:
     _emit(bas_to_dot(compute_bas(rs, lam, mu)), args.out)
     return 0
 
@@ -360,8 +241,6 @@ def _count_cell(triple):
 
 
 def _cmd_counts(args) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
     grand = series_grand(args.max_rank)
     triples = [
         (r, i, j)
@@ -390,11 +269,12 @@ def _gf_series(args):
     if args.series in ("p", "h"):
         if args.i is None:
             raise UsageError("--i is required for the univariate series")
+        if args.i not in (1, 2, 3):
+            raise UsageError(
+                f"closed univariate {args.series} series exist for i in 1..3, got {args.i}"
+            )
         builder = series_p if args.series == "p" else series_h
-        try:
-            return builder(args.i, args.max_degree)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return builder(args.i, args.max_degree)
     if args.series == "p-bivariate":
         return series_p_bivariate(args.max_degree, args.max_degree)
     if args.series == "h-bivariate":
@@ -426,8 +306,8 @@ def _cmd_gf(args) -> int:
     return 0
 
 
-def _suite_ideal(args) -> Report:
-    report = Report(title="order ideal and oracle agreement")
+def _sampled_pairs(args):
+    """A_4 at (highest root, -alpha_{i,j}), then sampled pairs per system."""
     rs = build_root_system(RootSystemSpec("A", 4))
     jobs = [
         (rs, rs.highest_root, neg_root(rs, i, j))
@@ -438,7 +318,12 @@ def _suite_ideal(args) -> Report:
         system = build_root_system(RootSystemSpec(family, rank))
         for lam, mu in sample_weight_pairs(system, args.pairs, args.seed):
             jobs.append((system, lam, mu))
-    for system, lam, mu in jobs:
+    return jobs
+
+
+def _suite_ideal(args) -> Report:
+    report = Report(title="order ideal and oracle agreement")
+    for system, lam, mu in _sampled_pairs(args):
         report.absorb(verify_order_ideal(system, lam, mu))
         fast = compute(system, lam, mu)
         naive = compute_naive(system, lam, mu)
@@ -452,45 +337,43 @@ def _suite_ideal(args) -> Report:
 
 def _suite_bijection(args) -> Report:
     report = Report(title="independent-subset factorization")
-    rs = build_root_system(RootSystemSpec("A", 4))
-    for i in range(1, 5):
-        for j in range(i, 5):
-            report.absorb(verify_bijection(rs, rs.highest_root, neg_root(rs, i, j)))
-    for family, rank in _SAMPLED_SYSTEMS:
-        system = build_root_system(RootSystemSpec(family, rank))
-        for lam, mu in sample_weight_pairs(system, args.pairs, args.seed):
-            report.absorb(verify_bijection(system, lam, mu))
+    for system, lam, mu in _sampled_pairs(args):
+        report.absorb(verify_bijection(system, lam, mu))
     return report
 
 
-def _run_suite(args) -> tuple[Report, str | None]:
-    def max_rank(default: int) -> int:
-        return default if args.max_rank is None else args.max_rank
-    if args.suite == "ideal":
-        return _suite_ideal(args), None
-    if args.suite == "bijection":
-        return _suite_bijection(args), None
-    if args.suite == "catalog":
-        return verify_catalogs(max_rank(9)), None
-    if args.suite == "recurrences":
-        return verify_recurrences(max_rank(9)), None
-    if args.suite == "genfunc":
-        return verify_generating_functions(max_rank(9)), None
-    if args.suite == "conjecture":
-        return verify_conjecture(max_rank(7)), _CONJECTURE_BANNER
-    if args.suite == "appendix":
-        report = Report(title="forbidden words and product trichotomy")
-        report.absorb(verify_forbidden(max_rank(8)))
-        report.absorb(verify_trichotomy(4, max_rank(8)))
-        return report, None
+def _suite_appendix(max_r: int) -> Report:
+    report = Report(title="forbidden words and product trichotomy")
+    report.absorb(verify_forbidden(max_r))
+    report.absorb(verify_trichotomy(4, max_r))
+    return report
+
+
+def _suite_xbij(max_r: int) -> Report:
     report = Report(title="sequence encodings")
-    for r in range(1, max_rank(10) + 1):
+    for r in range(1, max_r + 1):
         report.absorb(verify_x_bijection(r))
-    return report, None
+    return report
+
+
+#: Suite name -> (default --max-rank, report builder taking the parsed
+#: arguments and the rank, banner printed above the report).  The sampled
+#: suites take --pairs and --seed instead of a rank.
+_VERIFY_SUITES = {
+    "ideal": (None, lambda args, max_r: _suite_ideal(args), None),
+    "bijection": (None, lambda args, max_r: _suite_bijection(args), None),
+    "catalog": (9, lambda args, max_r: verify_catalogs(max_r), None),
+    "recurrences": (9, lambda args, max_r: verify_recurrences(max_r), None),
+    "genfunc": (9, lambda args, max_r: verify_generating_functions(max_r), None),
+    "conjecture": (7, lambda args, max_r: verify_conjecture(max_r), _CONJECTURE_BANNER),
+    "appendix": (8, lambda args, max_r: _suite_appendix(max_r), None),
+    "xbij": (10, lambda args, max_r: _suite_xbij(max_r), None),
+}
 
 
 def _cmd_verify(args) -> int:
-    report, banner = _run_suite(args)
+    default_rank, build, banner = _VERIFY_SUITES[args.suite]
+    report = build(args, default_rank if args.max_rank is None else args.max_rank)
     payload = {"suite": args.suite, "ok": report.ok, "reports": [report.as_dict()]}
     if banner:
         payload["banner"] = banner
@@ -509,18 +392,118 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-_HANDLERS = {
-    "altset": _cmd_altset,
-    "bas": _cmd_bas,
-    "mult": _cmd_mult,
-    "qmult": _cmd_qmult,
-    "hasse": _cmd_hasse,
-    "depgraph": _cmd_depgraph,
-    "catalog": _cmd_catalog,
-    "counts": _cmd_counts,
-    "gf": _cmd_gf,
-    "verify": _cmd_verify,
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: help line, handler, flags and output formats.
+
+    A weight-pair command takes the flags of _WEIGHT_PAIR_FLAGS, which are
+    parsed into a root system and two weights before dispatch, and its
+    handler is called as handler(args, rs, lam, mu); any other handler is
+    called as handler(args).  Every command also takes --out, and --format
+    when it has formats, the first being the default.
+    """
+
+    help: str
+    handler: Callable[..., int]
+    flags: tuple = ()
+    formats: tuple[str, ...] = ("text", "json")
+    weight_pair: bool = False
+
+
+_WEIGHT_PAIR_FLAGS = (
+    ("--family", {"required": True, "choices": list(FAMILIES)}),
+    ("--rank", {"required": True, "type": int}),
+    (
+        "--lambda",
+        {
+            "dest": "lam",
+            "required": True,
+            "metavar": "WEIGHT",
+            "help": "highest-root | zero | neg-root:i:j | partition:p1,p2,... | c1,c2,...",
+        },
+    ),
+    ("--mu", {"required": True, "metavar": "WEIGHT"}),
+)
+
+_COMMANDS = {
+    "altset": _Command("compute one alternation set", _cmd_altset, weight_pair=True),
+    "bas": _Command("compute basic allowable subwords", _cmd_bas, weight_pair=True),
+    "mult": _Command(
+        "weight multiplicity", partial(_cmd_mult, graded=False), weight_pair=True
+    ),
+    "qmult": _Command(
+        "q-graded weight multiplicity", partial(_cmd_mult, graded=True), weight_pair=True
+    ),
+    "hasse": _Command(
+        "alternation-set cover graph as DOT", _cmd_hasse, formats=(), weight_pair=True
+    ),
+    "depgraph": _Command(
+        "subword dependence graph as DOT", _cmd_depgraph, formats=(), weight_pair=True
+    ),
+    "catalog": _Command(
+        "closed-form subword catalog (family A)",
+        _cmd_catalog,
+        flags=(
+            ("--rank", {"required": True, "type": int}),
+            ("--i", {"required": True, "type": int}),
+            ("--j", {"required": True, "type": int}),
+        ),
+    ),
+    "counts": _Command(
+        "CSV sweep of alternation-set sizes",
+        _cmd_counts,
+        flags=(
+            ("--max-rank", {"type": int, "default": 9}),
+            ("--jobs", {"type": int, "default": 1}),
+        ),
+        formats=(),
+    ),
+    "gf": _Command(
+        "series coefficients of the counting functions",
+        _cmd_gf,
+        flags=(
+            (
+                "--series",
+                {
+                    "required": True,
+                    "choices": ["p", "h", "p-bivariate", "h-bivariate", "grand"],
+                },
+            ),
+            ("--i", {"type": int, "default": None, "help": "series index for p/h"}),
+            ("--max-degree", {"type": int, "default": DEFAULT_TRUNCATION}),
+            ("--max-rank", {"type": int, "default": 8}),
+        ),
+    ),
+    "verify": _Command(
+        "run a named verification suite",
+        _cmd_verify,
+        flags=(
+            ("suite", {"choices": list(_VERIFY_SUITES)}),
+            ("--max-rank", {"type": int, "default": None}),
+            ("--seed", {"type": int, "default": 0}),
+            ("--pairs", {"type": int, "default": 20}),
+        ),
+    ),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="weylalt",
+        description="Weyl alternation sets, subword catalogs, and their checks.",
+    )
+    parser.add_argument("--version", action="version", version=f"weylalt {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, options in _WEIGHT_PAIR_FLAGS if command.weight_pair else command.flags:
+            p.add_argument(flag, **options)
+        if command.formats:
+            p.add_argument(
+                "--format", choices=list(command.formats), default=command.formats[0]
+            )
+        p.add_argument("--out", default=None, metavar="FILE")
+    return parser
 
 
 def run(argv=None) -> int:
@@ -543,11 +526,21 @@ def run(argv=None) -> int:
 
 def _dispatch(args) -> int:
     try:
-        for flag, floor in (("max_rank", 1), ("max_degree", 0), ("pairs", 0)):
+        floors = (("max_rank", 1), ("max_degree", 0), ("pairs", 0), ("jobs", 1))
+        for flag, floor in floors:
             value = getattr(args, flag, None)
             if value is not None and value < floor:
                 raise UsageError(f"--{flag.replace('_', '-')} must be at least {floor}")
-        return _HANDLERS[args.command](args)
+        command = _COMMANDS[args.command]
+        if not command.weight_pair:
+            return command.handler(args)
+        try:
+            rs = build_root_system(RootSystemSpec(args.family, args.rank))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        lam = _parse_weight(rs, args.lam, "--lambda")
+        mu = _parse_weight(rs, args.mu, "--mu")
+        return command.handler(args, rs, lam, mu)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

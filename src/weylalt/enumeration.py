@@ -23,7 +23,7 @@ Fraction(8, 1)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,11 +34,10 @@ from .weyl import influence
 
 __all__ = [
     "PowerSeries",
-    "SequenceTable",
     "DEFAULT_TRUNCATION",
+    "MAX_SERIES_BYTES",
     "H1_LEADING_VALUES",
     "fibonacci",
-    "lucas",
     "count_neg_simple",
     "count_neg_height2",
     "highest_root_alternation_set",
@@ -56,6 +55,11 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 12
+
+#: Largest series expansion, in bytes of estimated memory.  A cell of the
+#: exponent box costs about 400 bytes (its exponent tuple, list and dict slots
+#: and a Fraction), plus 4 bytes per 30 bits of its coefficient.
+MAX_SERIES_BYTES = 2**29
 
 #: Leading h^1_r values for r = 1..10; the sequence is catalogued externally
 #: as OEIS A196423 (recorded as a label only; nothing is fetched).
@@ -76,22 +80,6 @@ def fibonacci(n: int) -> int:
     if n <= 0:
         return 0
     a, b = 0, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return b
-
-
-def lucas(n: int) -> int:
-    """Lucas numbers with L_0 = 2, L_1 = 1.
-
-    >>> [lucas(n) for n in range(6)]
-    [2, 1, 3, 4, 7, 11]
-    """
-    if n < 0:
-        raise ValueError(f"lucas is defined here for n >= 0, got {n}")
-    a, b = 2, 1
-    if n == 0:
-        return a
     for _ in range(n - 1):
         a, b = b, a + b
     return b
@@ -242,39 +230,6 @@ def verify_recurrences(max_r: int = 9) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class SequenceTable:
-    """A named table of counts, always filled from the defining filters."""
-
-    name: str
-    values: dict
-
-    @classmethod
-    def from_definitions(cls, name: str, max_r: int) -> "SequenceTable":
-        if name == "p":
-            values = {
-                (r, i): p_value(r, i)
-                for r in range(1, max_r + 1)
-                for i in range(1, r + 1)
-            }
-        elif name == "h":
-            values = {
-                (r, i): h_value(r, i)
-                for r in range(1, max_r + 1)
-                for i in range(1, r + 1)
-            }
-        elif name == "A-count":
-            values = {
-                (r, i, j): alternation_count(r, i, j)
-                for r in range(1, max_r + 1)
-                for i in range(1, r + 1)
-                for j in range(i, r + 1)
-            }
-        else:
-            raise ValueError(f"unknown table name {name!r}")
-        return cls(name=name, values=values)
-
-
 class PowerSeries:
     """Sparse truncated power series with exact rational coefficients.
 
@@ -355,7 +310,14 @@ def _graded_box(truncation):
 
 
 def _divide(numerator: dict, denominator: dict, variables, truncation) -> PowerSeries:
-    """Truncated quotient; the denominator needs a nonzero constant term."""
+    """Truncated quotient; the denominator needs a nonzero constant term.
+
+    Raises ValueError, before expanding, when the expansion's estimated
+    memory exceeds MAX_SERIES_BYTES.  Each coefficient is found from those of
+    lower total degree, so it grows at most like g**degree, where g is 1 plus
+    the sum of the other denominator terms' sizes over the constant term's;
+    the estimate takes ceil(log2(g)) bits per degree at the box's mean degree.
+    """
     zero = (0,) * len(variables)
     constant = Fraction(denominator.get(zero, 0))
     if not constant:
@@ -363,6 +325,13 @@ def _divide(numerator: dict, denominator: dict, variables, truncation) -> PowerS
     den_rest = [
         (e, Fraction(c)) for e, c in denominator.items() if e != zero and c
     ]
+    growth = math.ceil(1 + sum(abs(c) for _, c in den_rest) / abs(constant))
+    width = (growth - 1).bit_length() * sum(truncation) // 2
+    size = math.prod(t + 1 for t in truncation) * (400 + 4 * width // 30)
+    if size > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"series expansion exceeds the budget of {MAX_SERIES_BYTES} bytes"
+        )
     out: dict = {}
     for e in _graded_box(truncation):
         total = Fraction(numerator.get(e, 0))

@@ -35,7 +35,6 @@ __all__ = [
     "kostant_counts",
     "kostant_partition",
     "kostant_partition_q",
-    "has_partition",
 ]
 
 #: Largest table built, in bytes.  A cell costs a list slot and an int object,
@@ -223,19 +222,3 @@ def kostant_partition_q(rs: RootSystem, xi) -> QPolynomial:
     """
     return kostant_counts(rs, [xi], graded=True)[0]
 
-
-def has_partition(rs: RootSystem, xi) -> bool:
-    """Decide kostant_partition(rs, xi) > 0 without counting.
-
-    The simple roots are themselves positive roots, so any vector with
-    nonnegative integer coordinates has at least the expression using only
-    simple roots; conversely every expression forces nonnegative integer
-    coordinates.  Membership tests over large groups stay cheap this way.
-
-    >>> rs = build_root_system(RootSystemSpec("A", 3))
-    >>> has_partition(rs, (0, 1, 2))
-    True
-    >>> has_partition(rs, (0, Fraction(1, 2), 0))
-    False
-    """
-    return _coordinates(rs, xi) is not None

@@ -23,7 +23,6 @@ column signs (sigma(alpha_i) is a root, so its coordinates share one sign).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,22 +31,16 @@ from .rootsys import RootSystem, RootSystemSpec, build_root_system, dynkin_neigh
 __all__ = [
     "WeylElement",
     "GroupSizeError",
-    "DEFAULT_GROUP_CAP",
+    "MAX_GROUP_ORDER",
     "identity",
     "from_word",
     "multiply",
-    "inverse",
     "act",
-    "right_covers",
-    "left_covers",
-    "right_descents",
-    "left_descents",
     "influence",
     "extended_influence",
     "connected_influence",
     "independent",
     "enumerate_group",
-    "all_reduced_words",
     "group_order",
     "parse_word",
     "word_text",
@@ -55,12 +48,14 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 
-DEFAULT_GROUP_CAP = 50_000
-_CAP_ENV = "WEYLALT_MAX_GROUP"
+#: Largest group `enumerate_group` lists.  Only the exhaustive paths (the
+#: `compute_naive` oracle and the non-dominant fallback of `compute`)
+#: enumerate the group; the ideal search never does.
+MAX_GROUP_ORDER = 50_000
 
 
 class GroupSizeError(RuntimeError):
-    """Raised when a full group enumeration would exceed the configured cap."""
+    """Raised when a full group enumeration would exceed MAX_GROUP_ORDER."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,71 +223,11 @@ def multiply(rs: RootSystem, *elements: WeylElement) -> WeylElement:
     return _element_from_matrix(rs, m, _word_matrix(rs, reversed(joined)))
 
 
-def inverse(rs: RootSystem, sigma: WeylElement) -> WeylElement:
-    m_inv = _word_matrix(rs, reversed(sigma.word))
-    return _element_from_matrix(rs, m_inv, sigma.images)
-
-
 def act(rs: RootSystem, sigma: WeylElement, w):
     """Apply sigma to a weight in simple-root coordinates."""
     if len(w) != rs.rank:
         raise ValueError(f"expected a vector of length {rs.rank}, got {len(w)}")
     return _mat_act(sigma.images, w)
-
-
-def right_descents(rs: RootSystem, sigma: WeylElement) -> tuple[int, ...]:
-    """Generators i with length(sigma s_i) < length(sigma)."""
-    return tuple(
-        i + 1 for i in range(rs.rank) if not _column_nonneg(sigma.images[i])
-    )
-
-
-def left_descents(rs: RootSystem, sigma: WeylElement) -> tuple[int, ...]:
-    m_inv = _word_matrix(rs, reversed(sigma.word))
-    return tuple(
-        i + 1 for i in range(rs.rank) if not _column_nonneg(m_inv[i])
-    )
-
-
-def right_covers(rs: RootSystem, sigma: WeylElement) -> tuple[WeylElement, ...]:
-    """Elements sigma s_i one step above sigma in the right weak order.
-
-    sigma s_i covers sigma exactly when sigma(alpha_i) is positive, which is
-    a column-sign test on the images matrix.
-
-    >>> rs = build_root_system(RootSystemSpec("A", 3))
-    >>> [word_text(t.word) for t in right_covers(rs, from_word(rs, (1, 3)))]
-    ['s1 s3 s2']
-    """
-    smats = _simple_matrices(rs)
-    out = []
-    for i in range(rs.rank):
-        if _column_nonneg(sigma.images[i]):
-            out.append(
-                WeylElement(
-                    images=_mat_mul(sigma.images, smats[i]),
-                    word=sigma.word + (i + 1,),
-                    length=sigma.length + 1,
-                )
-            )
-    return tuple(out)
-
-
-def left_covers(rs: RootSystem, sigma: WeylElement) -> tuple[WeylElement, ...]:
-    """Elements s_i sigma one step above sigma in the left weak order."""
-    smats = _simple_matrices(rs)
-    m_inv = _word_matrix(rs, reversed(sigma.word))
-    out = []
-    for i in range(rs.rank):
-        if _column_nonneg(m_inv[i]):
-            out.append(
-                WeylElement(
-                    images=_mat_mul(smats[i], sigma.images),
-                    word=(i + 1,) + sigma.word,
-                    length=sigma.length + 1,
-                )
-            )
-    return tuple(out)
 
 
 def influence(sigma: WeylElement) -> frozenset[int]:
@@ -367,24 +302,20 @@ def group_order(system: RootSystem | RootSystemSpec) -> int:
     return 2 ** (r - 1) * math.factorial(r)
 
 
-def enumerate_group(rs: RootSystem, cap: int | None = None) -> tuple[WeylElement, ...]:
+def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """Every group element, in breadth-first (length, then word) order.
 
-    The cap guards against accidental huge enumerations; it defaults to
-    50000 and can be overridden by the WEYLALT_MAX_GROUP environment
-    variable or the `cap` argument.
+    Raises GroupSizeError for a group larger than MAX_GROUP_ORDER.
 
     >>> rs = build_root_system(RootSystemSpec("A", 2))
     >>> len(enumerate_group(rs))
     6
     """
-    if cap is None:
-        cap = int(os.environ.get(_CAP_ENV, DEFAULT_GROUP_CAP))
     order = group_order(rs.spec)
-    if order > cap:
+    if order > MAX_GROUP_ORDER:
         raise GroupSizeError(
             f"Weyl group of {rs.spec.family}_{rs.spec.rank} has {order} elements, "
-            f"above the cap of {cap}; raise {_CAP_ENV} or pass a larger cap"
+            f"above the cap of {MAX_GROUP_ORDER}"
         )
     smats = _simple_matrices(rs)
     start = identity(rs)
@@ -408,26 +339,6 @@ def enumerate_group(rs: RootSystem, cap: int | None = None) -> tuple[WeylElement
                         following.append(element)
         frontier = following
     return tuple(out)
-
-
-def all_reduced_words(rs: RootSystem, sigma: WeylElement) -> tuple[tuple[int, ...], ...]:
-    """Every reduced word for sigma, in lexicographic order.
-
-    Exponential in general; intended for small sanity sweeps.
-    """
-    smats = _simple_matrices(rs)
-
-    def expand(m_inv: Matrix, remaining: int):
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(rs.rank):
-            if not _column_nonneg(m_inv[i]):
-                for tail in expand(_mat_mul(m_inv, smats[i]), remaining - 1):
-                    yield (i + 1,) + tail
-
-    m_inv = _word_matrix(rs, reversed(sigma.word))
-    return tuple(expand(m_inv, sigma.length))
 
 
 def parse_word(text: str) -> tuple[int, ...]:

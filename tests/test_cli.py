@@ -1,11 +1,16 @@
 """Command-line interface: formats, exit codes, and output contracts."""
 
+import contextlib
+import io
 import json
 import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylalt import cli, kostant
+from weylalt import cli, enumeration, kostant
 from weylalt.altset import from_json as altset_from_json
 from weylalt.altset import to_json as altset_to_json
 from weylalt.reporting import Report
@@ -420,6 +425,152 @@ def test_library_warning_is_one_plain_stderr_line(capsys):
     )
     assert "altset.py" not in err
     assert "UserWarning" not in err
+
+
+def test_rank_over_ceiling_is_usage_error(capsys):
+    # Building A_100000 would exhaust memory; the rank ceiling refuses it
+    # before any work.
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys, "mult", "--family", "A", "--rank", "100000",
+        "--lambda", "zero", "--mu", "zero",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "rank <= 64" in err
+
+
+@pytest.mark.parametrize(
+    "weight, code",
+    [
+        ("1e100000000,0", 2),
+        ("1e-100000000,0", 2),
+        ("1e4301,0", 2),
+        ("1e4300,0", 0),
+        ("1e0,10e-1", 0),
+    ],
+)
+def test_weight_exponent_digit_limit(capsys, weight, code):
+    # Fraction would expand 1e100000000 into a 100-million-digit integer;
+    # exponents up to Python's integer digit limit (4300) are read as usual.
+    start = time.perf_counter()
+    got, out, err = _run(
+        capsys, "altset", "--family", "A", "--rank", "2",
+        "--lambda", weight, "--mu", "zero",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert "cannot parse weight" in err
+    else:
+        assert out.startswith("A_2 alternation set: ")
+
+
+def test_series_over_memory_budget_exits_one(capsys, monkeypatch):
+    # The degree-200000 expansion would need gigabytes; it is refused before
+    # the box is built.
+    def no_box(*args):
+        raise AssertionError("the box was built despite the budget")
+
+    monkeypatch.setattr(enumeration, "_graded_box", no_box)
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys, "gf", "--series", "h", "--i", "1", "--max-degree", "200000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err == ""
+    (line,) = out.splitlines()
+    payload = json.loads(line)
+    assert payload["ok"] is False
+    assert "budget" in payload["error"]
+
+
+# Bounded valid values for every flag in the command table; a flag missing
+# here fails the fuzzer.  Each drawn command line gives at most one flag one
+# of _BAD_VALUES, and a third of the weights are malformed.  Size flags are
+# always given, since their defaults are not small.
+_FLAG_VALUES = {
+    "--family": st.sampled_from(["A", "B", "C", "D"]),
+    "--rank": st.integers(1, 5),
+    "--i": st.integers(1, 6),
+    "--j": st.integers(1, 6),
+    "--max-rank": st.integers(1, 5),
+    "--jobs": st.just(1),  # a worker pool per example would dominate the run
+    "--series": st.sampled_from(["p", "h", "p-bivariate", "h-bivariate", "grand"]),
+    "--max-degree": st.integers(0, 12),
+    "--seed": st.integers(0, 3),
+    "--pairs": st.integers(0, 3),
+    "suite": st.sampled_from(list(cli._VERIFY_SUITES)),
+}
+_SIZE_FLAGS = {"--max-rank", "--max-degree", "--pairs"}
+_BAD_VALUES = st.sampled_from(["", "x", "-1", "0", "E", "bogus"])
+
+
+_MALFORMED_WEIGHTS = [
+    "", "x", "1/0", "nan", "1/2,x", "1e100000000,0", "1e-5000,0",
+    "neg-root:1", "neg-root:a:b", "neg-root:2:1", "partition:", "partition:-1",
+]
+
+
+def _weight(rank):
+    coordinates = st.lists(st.integers(-2, 3).map(str), min_size=rank, max_size=rank)
+    return st.one_of(
+        coordinates.map(",".join),
+        st.sampled_from(["highest-root", "zero", "neg-root:1:2", "partition:2,1"]),
+        st.sampled_from(_MALFORMED_WEIGHTS),
+    )
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    command = cli._COMMANDS[name]
+    flags = cli._WEIGHT_PAIR_FLAGS if command.weight_pair else command.flags
+    fault = draw(st.none() | st.integers(0, len(flags)))
+    argv, rank = [name], 3
+    for k, (flag, options) in enumerate(flags):
+        optional = not options.get("required", not flag.startswith("-"))
+        if k == fault:
+            value = draw(_BAD_VALUES)
+        elif optional and flag not in _SIZE_FLAGS and draw(st.booleans()):
+            continue
+        elif flag in ("--lambda", "--mu"):
+            value = draw(_weight(rank))
+        else:
+            value = str(draw(_FLAG_VALUES[flag]))
+            rank = int(value) if flag == "--rank" else rank
+        argv += [f"{flag}={value}"] if flag.startswith("-") else [value]
+    if command.formats and draw(st.booleans()):
+        argv.append("--format=" + draw(st.sampled_from(command.formats)))
+    if fault == len(flags):
+        argv.append("--format=xml")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert json.loads(out.getvalue().splitlines()[-1])["ok"] is False
+    else:
+        assert code in (0, 2)
+
+
+@pytest.mark.parametrize("weight", _MALFORMED_WEIGHTS)
+def test_malformed_weight_is_usage_error(capsys, weight):
+    code, out, err = _run(
+        capsys, "qmult", "--family", "A", "--rank", "2",
+        "--lambda", "highest-root", f"--mu={weight}",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --mu: ")
 
 
 def test_version_flag(capsys):

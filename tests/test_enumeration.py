@@ -4,16 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from weylalt import enumeration
 from weylalt.enumeration import (
     H1_LEADING_VALUES,
     PowerSeries,
-    SequenceTable,
     alternation_count,
     count_neg_height2,
     count_neg_simple,
     fibonacci,
     h_value,
-    lucas,
     p_value,
     series_expand,
     series_grand,
@@ -26,13 +25,10 @@ from weylalt.enumeration import (
 )
 
 
-def test_fibonacci_and_lucas_values():
+def test_fibonacci_values():
     assert [fibonacci(n) for n in range(-1, 9)] == [0, 0, 1, 1, 2, 3, 5, 8, 13, 21]
-    assert [lucas(n) for n in range(7)] == [2, 1, 3, 4, 7, 11, 18]
     with pytest.raises(ValueError):
         fibonacci(-2)
-    with pytest.raises(ValueError):
-        lucas(-1)
 
 
 # Leading p and h blocks, three starting columns and four ranks each,
@@ -180,14 +176,20 @@ def test_grand_series_spot_values():
 
 
 def test_sequence_tables():
-    p = SequenceTable.from_definitions("p", 6)
-    assert p.values[(4, 1)] == 8
-    h = SequenceTable.from_definitions("h", 6)
-    assert h.values[(6, 3)] == 29
-    counts = SequenceTable.from_definitions("A-count", 5)
-    assert counts.values[(5, 2, 4)] == 12
-    with pytest.raises(ValueError):
-        SequenceTable.from_definitions("q", 4)
+    assert p_value(4, 1) == 8
+    assert h_value(6, 3) == 29
+    assert alternation_count(5, 2, 4) == 12
+
+
+def test_series_over_memory_budget_raises(monkeypatch):
+    # About 400 bytes a cell plus the coefficient width: series_h(1, 30)
+    # estimates 12.6 kB, series_h(1, 40) 16.7 kB and series_grand(5) 87 kB.
+    monkeypatch.setattr(enumeration, "MAX_SERIES_BYTES", 15_000)
+    assert series_h(1, 30).coefficient((10,)) == 1248
+    with pytest.raises(ValueError, match="budget"):
+        series_h(1, 40)
+    with pytest.raises(ValueError, match="budget"):
+        series_grand(5)
 
 
 def test_generating_function_report():

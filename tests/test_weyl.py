@@ -1,6 +1,8 @@
 """Weyl group elements: words, covers, influence, enumeration."""
 
+import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -8,7 +10,6 @@ from weylalt import (
     GroupSizeError,
     RootSystemSpec,
     act,
-    all_reduced_words,
     build_root_system,
     enumerate_group,
     extended_influence,
@@ -17,16 +18,22 @@ from weylalt import (
     identity,
     independent,
     influence,
-    inverse,
     multiply,
     parse_word,
     word_text,
 )
-from weylalt.weyl import connected_influence, left_covers, left_descents, right_covers, right_descents
+from weylalt import weyl
+from weylalt.weyl import connected_influence
 
 
 def _rs(family, rank):
     return build_root_system(RootSystemSpec(family, rank))
+
+
+def _reduced_words(rs, sigma):
+    """Every reduced word for sigma, by brute force over words of its length."""
+    words = itertools.product(range(1, rs.rank + 1), repeat=sigma.length)
+    return [w for w in words if from_word(rs, w) == sigma]
 
 
 def test_group_orders():
@@ -46,19 +53,17 @@ def test_enumeration_matches_order(family, rank):
     assert lengths == sorted(lengths)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     rs = _rs("B", 8)
     with pytest.raises(GroupSizeError):
         enumerate_group(rs)
     rs3 = _rs("A", 3)
-    with pytest.raises(GroupSizeError):
-        enumerate_group(rs3, cap=10)
-
-
-def test_enumeration_cap_env_override(monkeypatch):
-    monkeypatch.setenv("WEYLALT_MAX_GROUP", "5")
-    with pytest.raises(GroupSizeError):
-        enumerate_group(_rs("A", 3))
+    for cap in (10, 5):
+        monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", cap)
+        with pytest.raises(GroupSizeError):
+            enumerate_group(rs3)
+    monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 24)
+    assert len(enumerate_group(rs3)) == 24
 
 
 def test_braid_and_commutation_relations():
@@ -97,12 +102,10 @@ def test_length_equals_inversions():
 def test_longest_element_words():
     rs = _rs("A", 2)
     w0 = max(enumerate_group(rs), key=lambda s: s.length)
-    assert sorted(all_reduced_words(rs, w0)) == [(1, 2, 1), (2, 1, 2)]
+    assert sorted(_reduced_words(rs, w0)) == [(1, 2, 1), (2, 1, 2)]
     rs3 = _rs("A", 3)
     w0 = max(enumerate_group(rs3), key=lambda s: s.length)
-    words = all_reduced_words(rs3, w0)
-    assert len(words) == 16
-    assert all(from_word(rs3, w) == w0 for w in words)
+    assert len(_reduced_words(rs3, w0)) == 16
 
 
 def test_action_on_simple_roots():
@@ -120,7 +123,9 @@ def test_inverse_and_multiply():
     for _ in range(25):
         sigma = rng.choice(group)
         tau = rng.choice(group)
-        assert multiply(rs, sigma, inverse(rs, sigma)) == identity(rs)
+        inverse = from_word(rs, reversed(sigma.word))
+        assert multiply(rs, sigma, inverse) == identity(rs)
+        assert multiply(rs, inverse, sigma) == identity(rs)
         product = multiply(rs, sigma, tau)
         lhs = act(rs, product, rs.rho)
         rhs = act(rs, sigma, act(rs, tau, rs.rho))
@@ -128,17 +133,21 @@ def test_inverse_and_multiply():
 
 
 def test_descents_and_covers():
+    # sigma s_i is one longer exactly when sigma(alpha_i) is positive, and
+    # s_i sigma exactly when <sigma(2 rho), alpha_i^vee> is.
     rs = _rs("A", 3)
-    e = identity(rs)
-    assert right_descents(rs, e) == ()
-    assert {c.word for c in right_covers(rs, e)} == {(1,), (2,), (3,)}
-    s12 = from_word(rs, (1, 2))
-    assert right_descents(rs, s12) == (2,)
-    assert left_descents(rs, s12) == (1,)
-    ups = {c.word for c in right_covers(rs, s12)}
-    assert ups == {(1, 2, 1), (1, 2, 3)}
-    lefts = {c.word for c in left_covers(rs, s12)}
-    assert lefts == {word for word in lefts if len(word) == 3}
+    two_rho = tuple(int(2 * c) for c in rs.rho)
+    for sigma in enumerate_group(rs):
+        moved = act(rs, sigma, two_rho)
+        for i in range(1, rs.rank + 1):
+            right = from_word(rs, sigma.word + (i,))
+            assert (right.length == sigma.length + 1) == all(
+                c >= 0 for c in sigma.images[i - 1]
+            )
+            left = from_word(rs, (i,) + sigma.word)
+            pairing = sum(map(mul, moved, (row[i - 1] for row in rs.cartan)))
+            assert (left.length == sigma.length + 1) == (pairing > 0)
+            assert {left.length, right.length} <= {sigma.length - 1, sigma.length + 1}
 
 
 def test_influence_is_word_independent():
@@ -146,7 +155,9 @@ def test_influence_is_word_independent():
     sigma = from_word(rs, (2, 3, 2))
     assert influence(sigma) == frozenset({2, 3})
     assert extended_influence(rs, sigma) == frozenset({1, 2, 3, 4})
-    for word in all_reduced_words(rs, sigma):
+    words = _reduced_words(rs, sigma)
+    assert sorted(words) == [(2, 3, 2), (3, 2, 3)]
+    for word in words:
         assert frozenset(word) == influence(sigma)
 
 
