@@ -58,12 +58,21 @@ def test_enumeration_cap(monkeypatch):
     with pytest.raises(GroupSizeError):
         enumerate_group(rs)
     rs3 = _rs("A", 3)
-    for cap in (10, 5):
-        monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", cap)
-        with pytest.raises(GroupSizeError):
-            enumerate_group(rs3)
+    monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 10)
+    with pytest.raises(GroupSizeError):
+        enumerate_group(rs3)
     monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 24)
     assert len(enumerate_group(rs3)) == 24
+
+
+def test_enumeration_cap_env_override(monkeypatch):
+    # The cap is the module constant alone: the retired WEYLALT_MAX_GROUP
+    # environment variable no longer lowers it.
+    monkeypatch.setenv("WEYLALT_MAX_GROUP", "5")
+    assert len(enumerate_group(_rs("A", 3))) == 24
+    monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 5)
+    with pytest.raises(GroupSizeError):
+        enumerate_group(_rs("A", 3))
 
 
 def test_braid_and_commutation_relations():
