@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .kostant import QPolynomial, kostant_counts
 from .reporting import Report
@@ -45,8 +44,10 @@ from .rootsys import (
 )
 from .weyl import (
     WeylElement,
-    _mat_act,
-    _mat_mul,
+    _coroot_pairing,
+    _cover,
+    _left_step,
+    _right_step,
     _simple_matrices,
     act,
     enumerate_group,
@@ -96,8 +97,8 @@ class AlternationSet:
     edges: tuple[tuple[WeylElement, WeylElement], ...]
 
     @cached_property
-    def _images(self) -> frozenset:
-        return frozenset(s.images for s in self.elements)
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -106,7 +107,7 @@ class AlternationSet:
         return iter(self.elements)
 
     def __contains__(self, sigma: WeylElement) -> bool:
-        return sigma.images in self._images
+        return sigma in self._members
 
 
 def contains(rs: RootSystem, lam, mu, sigma: WeylElement) -> bool:
@@ -116,21 +117,21 @@ def contains(rs: RootSystem, lam, mu, sigma: WeylElement) -> bool:
     when every coordinate of the argument is a nonnegative integer; this
     never counts.  It is the same test `compute_naive` filters the group with.
     """
-    return _acceptance_test(rs, as_weight(lam), as_weight(mu))(sigma.images)
+    return _acceptance_test(rs, as_weight(lam), as_weight(mu))(sigma)
 
 
 def _acceptance_test(rs: RootSystem, lam: Weight, mu: Weight):
-    """Matrix-level membership predicate of `contains` and `compute_naive`.
+    """Membership predicate of `contains` and `compute_naive`.
 
-    It applies the images matrix to lambda + rho and shares nothing with the
+    It applies the element to lambda + rho and shares nothing with the
     residual recurrence of `compute`, so the exhaustive filter stays an
     independent oracle for the ideal search.
     """
     lam_rho = wadd(lam, rs.rho)
     mu_rho = wadd(mu, rs.rho)
 
-    def accept(images) -> bool:
-        moved = _mat_act(images, lam_rho)
+    def accept(sigma: WeylElement) -> bool:
+        moved = act(rs, sigma, lam_rho)
         for a, b in zip(moved, mu_rho):
             diff = a - b
             if diff < 0:
@@ -157,9 +158,9 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     the cover is a member exactly when every entry stays nonnegative.  The
     weight lambda + rho is regular, so distinct elements have distinct
     residuals and one dict keyed by them dedupes the search.  Only accepted
-    covers get an images matrix, changed from sigma's in the columns of i
-    and its Dynkin neighbours.  Raises ValueError as soon as the set's
-    estimated memory passes MAX_SET_BYTES.
+    covers get an images matrix, from the right step of `weyl`, which
+    changes only sigma's columns of i and its Dynkin neighbours.  Raises
+    ValueError as soon as the set's estimated memory passes MAX_SET_BYTES.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -175,7 +176,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     r = rs.rank
     lam_rho = wadd(lam, rs.rho)
     steps = [int(_pairing(rs, lam_rho, i)) for i in range(r)]
-    touched = [[(j, rs.cartan[j][i]) for j in range(r) if rs.cartan[j][i]] for i in range(r)]
+    reflections = _simple_matrices(rs)
     per_element = 1024 + 64 * r
     limit = MAX_SET_BYTES // per_element
     start = identity(rs)
@@ -195,14 +196,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
             if tau is None:
                 if min(grown) < 0:
                     continue
-                cols = list(images)
-                for j, c in touched[i]:
-                    cols[j] = tuple([a - c * b for a, b in zip(images[j], col)])
-                tau = WeylElement(
-                    images=tuple(cols),
-                    word=sigma.word + (i + 1,),
-                    length=sigma.length + 1,
-                )
+                tau = _cover(sigma, i, reflections[i])
                 by_residual[grown] = tau
                 queue.append((tau, grown))
                 if len(queue) > limit:
@@ -225,18 +219,16 @@ def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
     lam = as_weight(lam)
     mu = as_weight(mu)
     accept = _acceptance_test(rs, lam, mu)
-    smats = _simple_matrices(rs)
-    elements = [s for s in enumerate_group(rs) if accept(s.images)]
-    by_images = {s.images: s for s in elements}
+    reflections = _simple_matrices(rs)
+    elements = [s for s in enumerate_group(rs) if accept(s)]
+    members = {s: s for s in elements}
     edges = []
     for sigma in elements:
-        for i in range(rs.rank):
-            if not all(c >= 0 for c in sigma.images[i]):
-                continue
-            grown = _mat_mul(sigma.images, smats[i])
-            tau = by_images.get(grown)
-            if tau is not None:
-                edges.append((sigma, tau))
+        for i, reflection in enumerate(reflections):
+            if min(sigma.images[i]) >= 0:
+                tau = members.get(_cover(sigma, i, reflection))
+                if tau is not None:
+                    edges.append((sigma, tau))
     return AlternationSet(
         lam=lam, mu=mu, elements=tuple(elements), edges=tuple(edges)
     )
@@ -288,25 +280,23 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
         title=f"order ideal {rs.spec.family}_{rs.spec.rank}"
     )
     aset = compute(rs, lam, mu)
-    smats = _simple_matrices(rs)
+    reflections = _simple_matrices(rs)
     two_rho = tuple(int(2 * c) for c in rs.rho)
-    columns = [[row[i] for row in rs.cartan] for i in range(rs.rank)]
+    # A cover below has no witness word at hand, so it is looked up by matrix.
     images = {s.images for s in aset.elements}
     for sigma in aset.elements:
-        moved = _mat_act(sigma.images, two_rho)
-        for i in range(rs.rank):
-            if any(c < 0 for c in sigma.images[i]):
-                below = _mat_mul(sigma.images, smats[i])
+        moved = act(rs, sigma, two_rho)
+        for i, reflection in enumerate(reflections):
+            if min(sigma.images[i]) < 0:
                 report.check(
-                    below in images,
+                    _right_step(sigma.images, i, reflection) in images,
                     lambda s=sigma, k=i: (
                         f"right cover below {word_text(s.word)} at s{k + 1} escapes the set"
                     ),
                 )
-            if sum(map(mul, moved, columns[i])) < 0:
-                below = _mat_mul(smats[i], sigma.images)
+            if _coroot_pairing(moved, reflection) < 0:
                 report.check(
-                    below in images,
+                    _left_step(sigma.images, i, reflection) in images,
                     lambda s=sigma, k=i: (
                         f"left cover below {word_text(s.word)} at s{k + 1} escapes the set"
                     ),

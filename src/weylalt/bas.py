@@ -33,7 +33,6 @@ from .rootsys import (
 )
 from .weyl import (
     WeylElement,
-    _mat_mul,
     connected_influence,
     from_word,
     identity,
@@ -164,9 +163,7 @@ def reconstruct(rs: RootSystem, subset) -> WeylElement:
                     f"{word_text(chosen[a].word)} and {word_text(chosen[b].word)} "
                     "are not independent"
                 )
-            left = _mat_mul(chosen[a].images, chosen[b].images)
-            right = _mat_mul(chosen[b].images, chosen[a].images)
-            if left != right:
+            if multiply(rs, chosen[a], chosen[b]) != multiply(rs, chosen[b], chosen[a]):
                 raise RuntimeError(
                     "independent elements failed to commute: "
                     f"{word_text(chosen[a].word)}, {word_text(chosen[b].word)}"
@@ -186,14 +183,15 @@ def verify_bijection(rs: RootSystem, lam, mu) -> Report:
     bas = compute_bas(rs, lam, mu, aset=aset)
     subsets = independent_subsets(bas)
     products = [reconstruct(rs, s) for s in subsets]
+    image = set(products)
     report.check(
-        len({p.images for p in products}) == len(products),
+        len(image) == len(products),
         "reconstruct is not injective on independent subsets",
     )
     report.check(
-        {p.images for p in products} == {s.images for s in aset.elements},
+        image == set(aset.elements),
         lambda: (
-            f"image has {len({p.images for p in products})} elements, "
+            f"image has {len(image)} elements, "
             f"alternation set has {len(aset)}"
         ),
     )
@@ -223,13 +221,13 @@ def verify_monotonicity(rs: RootSystem, lam, mu, nu) -> Report:
     aset_nu = compute(rs, lam, nu)
     bas_mu = compute_bas(rs, lam, mu, aset=aset_mu)
     bas_nu = compute_bas(rs, lam, nu, aset=aset_nu)
-    in_mu = {s.images for s in bas_mu.members}
+    in_mu = frozenset(bas_mu.members)
     for sigma in sorted(
         set(bas_mu.members) | set(bas_nu.members), key=lambda s: (s.length, s.word)
     ):
         expected = sigma in bas_nu.members and sigma in aset_mu
         report.check(
-            (sigma.images in in_mu) == expected,
+            (sigma in in_mu) == expected,
             lambda s=sigma: f"{word_text(s.word)} breaks the restriction identity",
         )
     return report
@@ -250,7 +248,7 @@ class ProductClassification:
 
 @lru_cache(maxsize=None)
 def _reconstruction_index(rs: RootSystem, bas: BasSet):
-    """Map product images to the least-total-length independent subset."""
+    """Map each product to the least-total-length independent subset."""
     subsets = sorted(
         independent_subsets(bas),
         key=lambda s: (sum(e.length for e in s), tuple(e.word for e in s)),
@@ -258,8 +256,8 @@ def _reconstruction_index(rs: RootSystem, bas: BasSet):
     table = {}
     for subset in subsets:
         element = reconstruct(rs, subset)
-        if element.images not in table:
-            table[element.images] = (subset, sum(e.length for e in subset))
+        if element not in table:
+            table[element] = (subset, sum(e.length for e in subset))
     return table
 
 
@@ -278,8 +276,8 @@ def classify_product(
     raises TrichotomyError, which would falsify the trichotomy on this
     instance.
     """
-    member_images = {m.images for m in bas.members}
-    if sigma.images not in member_images or tau.images not in member_images:
+    members = frozenset(bas.members)
+    if sigma not in members or tau not in members:
         raise ValueError("classify_product expects two members of the basic set")
     if independent(rs, sigma, tau):
         raise ValueError(
@@ -287,9 +285,9 @@ def classify_product(
             "their product needs no classification"
         )
     product = multiply(rs, sigma, tau)
-    if product.images in member_images:
+    if product in members:
         return ProductClassification(case=ProductCase.IN_S, product=product)
-    entry = _reconstruction_index(rs, bas).get(product.images)
+    entry = _reconstruction_index(rs, bas).get(product)
     if entry is not None and entry[1] < sigma.length + tau.length:
         return ProductClassification(
             case=ProductCase.SHORTER_INDEPENDENT_PRODUCT,

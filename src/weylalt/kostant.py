@@ -186,7 +186,8 @@ def kostant_counts(rs: RootSystem, xis, graded: bool = False) -> list:
     width = shift * (sum(top) // 2 + 1) if graded else bound.bit_length()
     size = math.prod(t + 1 for t in top) * (36 + 4 * -(-width // 30))
     if size > MAX_TABLE_BYTES:
-        raise ValueError(f"Kostant table of ~{size} bytes exceeds the budget {MAX_TABLE_BYTES}")
+        # The message names no size: one past 4300 digits cannot be formatted.
+        raise ValueError(f"Kostant table exceeds the budget of {MAX_TABLE_BYTES} bytes")
     cells, strides = _table(rs.positive_roots, top, shift)
     values = [0 if c is None else cells[sum(map(mul, c, strides))] for c in coords]
     if not graded:

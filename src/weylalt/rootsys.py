@@ -89,9 +89,13 @@ class RootSystemSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """A root system frozen into simple-root coordinates.
+
+    `build_root_system` is the only constructor and caches one system per
+    spec, so systems compare and hash by identity: the caches keyed on a
+    system never hash its Fractions and roots.
 
     cartan[i][j] is 2(alpha_i, alpha_j)/(alpha_j, alpha_j), so row i of
     `cartan` lists the pairings of alpha_{i+1} against each coroot.  The

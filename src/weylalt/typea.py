@@ -26,7 +26,7 @@ from .bas import classify_product, compute_bas, independent
 from .enumeration import h_value, highest_root_alternation_set
 from .kostant import kostant_partition
 from .reporting import Report
-from .rootsys import RootSystemSpec, build_root_system, wadd, wsub
+from .rootsys import MAX_RANK, RootSystemSpec, build_root_system, wadd, wsub
 from .weyl import WeylElement, act, from_word, identity, word_text
 
 __all__ = [
@@ -83,6 +83,8 @@ def catalog_bas(r: int, i: int, j: int) -> list:
     >>> catalog_bas(1, 1, 1)
     []
     """
+    if r > MAX_RANK:
+        raise ValueError(f"type A allows rank <= {MAX_RANK}, got {r}")
     if not 1 <= i <= j <= r:
         raise ValueError(f"need 1 <= i <= j <= r, got i={i}, j={j}, r={r}")
     if r == 1:
@@ -129,32 +131,23 @@ def catalog_bas(r: int, i: int, j: int) -> list:
 def _compare_catalog(report: Report, r: int, i: int, j: int) -> None:
     rs = build_root_system(RootSystemSpec("A", r))
     aset = highest_root_alternation_set(r, i, j)
-    computed = compute_bas(rs, aset.lam, aset.mu, aset=aset)
-    computed_images = {sigma.images: sigma for sigma in computed.members}
-    catalog_images = {}
-    for entry in catalog_bas(r, i, j):
-        sigma = from_word(rs, entry.word)
-        catalog_images[sigma.images] = sigma
+    computed = frozenset(compute_bas(rs, aset.lam, aset.mu, aset=aset).members)
+    entries = catalog_bas(r, i, j)
+    catalog = {from_word(rs, entry.word) for entry in entries}
     report.check(
-        len(catalog_images) == sum(1 for _ in catalog_bas(r, i, j)),
+        len(catalog) == len(entries),
         f"duplicate catalog entries at r={r}, i={i}, j={j}",
     )
 
     def detail():
-        missing = sorted(
-            word_text(catalog_images[m].word)
-            for m in catalog_images.keys() - computed_images.keys()
-        )
-        extra = sorted(
-            word_text(computed_images[m].word)
-            for m in computed_images.keys() - catalog_images.keys()
-        )
+        missing = sorted(word_text(s.word) for s in catalog - computed)
+        extra = sorted(word_text(s.word) for s in computed - catalog)
         return (
             f"catalog mismatch at r={r}, i={i}, j={j}: "
             f"catalog-only {missing}, computed-only {extra}"
         )
 
-    report.check(catalog_images.keys() == computed_images.keys(), detail)
+    report.check(catalog == computed, detail)
 
 
 def verify_catalog(r: int, i: int, j: int) -> Report:
@@ -358,15 +351,14 @@ def verify_x_bijection(r: int) -> Report:
     decoded = {}
     for x in seqs:
         sigma = psi(x)
-        previous = decoded.setdefault(sigma.images, x)
+        previous = decoded.setdefault(sigma, x)
         report.check(
             previous is x,
             f"sequences {previous.entries} and {x.entries} decode identically",
         )
     aset = highest_root_alternation_set(r, 1, r)
-    member_images = {sigma.images for sigma in aset}
     report.check(
-        decoded.keys() == member_images,
+        decoded.keys() == set(aset),
         f"decoded image differs from the alternation set at rank {r}",
     )
     report.check(

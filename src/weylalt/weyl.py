@@ -6,9 +6,17 @@ matrices agree.  Each element also carries one reduced word as a witness.
 Words are tuples of 1-based generator indices read as function composition:
 from_word((1, 2)) sends v to s_1(s_2(v)).
 
-Length bookkeeping never walks the group: the length of sigma equals the
-number of positive roots sent negative, and ascent tests read off matrix
-column signs (sigma(alpha_i) is a root, so its coordinates share one sign).
+All matrix arithmetic on elements lives here, as three moves:
+
+- the right step sigma -> sigma s_i changes only the columns j with
+  a_ji = <alpha_j, alpha_i^vee> nonzero, and it goes up exactly when
+  sigma(alpha_i) is positive (a root, so its coordinates share one sign);
+- the left step sigma -> s_i sigma changes coordinate i of every column by
+  that column's pairing with alpha_i^vee;
+- the descent rule reads a reduced word off v = sigma(2 rho): the smallest
+  i with <v, alpha_i^vee> < 0 is a left descent, and v -> s_i v removes it.
+  Repeated until v is dominant, it spells the lexicographically least
+  reduced word, whose length is the Coxeter length of sigma.
 
 >>> rs = build_root_system(RootSystemSpec("A", 3))
 >>> s13 = from_word(rs, (1, 3))
@@ -47,6 +55,7 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
+Reflection = tuple[tuple[int, int], ...]
 
 #: Largest group `enumerate_group` lists.  Only the exhaustive paths (the
 #: `compute_naive` oracle and the non-dominant fallback of `compute`)
@@ -89,39 +98,6 @@ def _identity_matrix(rank: int) -> Matrix:
     )
 
 
-@lru_cache(maxsize=None)
-def _simple_matrices(rs: RootSystem) -> tuple[Matrix, ...]:
-    """Images matrices of the simple reflections, 0-based by generator."""
-    r = rs.rank
-    out = []
-    for i in range(r):
-        cols = []
-        for j in range(r):
-            col = [int(m == j) for m in range(r)]
-            col[i] -= rs.cartan[j][i]
-            cols.append(tuple(col))
-        out.append(tuple(cols))
-    return tuple(out)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Composition a after b: column j of the result is a applied to b's column j."""
-    r = len(a)
-    cols = []
-    for j in range(r):
-        bcol = b[j]
-        col = [0] * r
-        for k in range(r):
-            coefficient = bcol[k]
-            if coefficient:
-                acol = a[k]
-                for m in range(r):
-                    if acol[m]:
-                        col[m] += coefficient * acol[m]
-        cols.append(tuple(col))
-    return tuple(cols)
-
-
 def _mat_act(m: Matrix, v):
     r = len(m)
     out = [0] * r
@@ -135,46 +111,72 @@ def _mat_act(m: Matrix, v):
     return tuple(out)
 
 
-def _column_nonneg(col) -> bool:
-    return all(c >= 0 for c in col)
+@lru_cache(maxsize=None)
+def _simple_matrices(rs: RootSystem) -> tuple[Reflection, ...]:
+    """The simple reflections, sparsely, 0-based by generator.
 
-
-def _inversion_count(rs: RootSystem, m: Matrix) -> int:
-    """Number of positive roots sent negative; equals the Coxeter length."""
-    count = 0
-    for root in rs.positive_roots:
-        image = _mat_act(m, root)
-        if any(c < 0 for c in image):
-            count += 1
-    return count
-
-
-def _word_matrix(rs: RootSystem, word) -> Matrix:
-    smats = _simple_matrices(rs)
-    m = _identity_matrix(rs.rank)
-    for i in word:
-        m = _mat_mul(m, smats[i - 1])
-    return m
-
-
-def _element_from_matrix(rs: RootSystem, m: Matrix, m_inv: Matrix) -> WeylElement:
-    """Build the canonical element for a matrix, given its inverse matrix.
-
-    The witness is rebuilt by greedy descent on the smallest generator, which
-    is also the lexicographically least reduced word.
+    Entry i lists the pairs (j, a_ji) with a_ji = <alpha_j, alpha_i^vee>
+    nonzero: s_i sends alpha_j to alpha_j - a_ji alpha_i.  Callers look the
+    table up once per call and pass its entries to the steps below.
     """
-    length = _inversion_count(rs, m)
-    smats = _simple_matrices(rs)
+    r = rs.rank
+    return tuple(
+        tuple((j, rs.cartan[j][i]) for j in range(r) if rs.cartan[j][i])
+        for i in range(r)
+    )
+
+
+def _coroot_pairing(v, reflection: Reflection) -> int:
+    """<v, alpha_i^vee> for v in simple-root coordinates."""
+    return sum(v[j] * a for j, a in reflection)
+
+
+def _right_step(images: Matrix, i: int, reflection: Reflection) -> Matrix:
+    """sigma s_{i+1}: column j becomes sigma(alpha_j) - a_ji sigma(alpha_i)."""
+    col = images[i]
+    cols = list(images)
+    for j, a in reflection:
+        cols[j] = tuple([x - a * y for x, y in zip(images[j], col)])
+    return tuple(cols)
+
+
+def _left_step(images: Matrix, i: int, reflection: Reflection) -> Matrix:
+    """s_{i+1} sigma: coordinate i of each column drops by its coroot pairing."""
+    return tuple(
+        col[:i] + (col[i] - _coroot_pairing(col, reflection),) + col[i + 1 :]
+        for col in images
+    )
+
+
+def _cover(sigma: WeylElement, i: int, reflection: Reflection) -> WeylElement:
+    """The right cover sigma s_{i+1}, for an ascent i (sigma(alpha_{i+1}) positive)."""
+    return WeylElement(
+        images=_right_step(sigma.images, i, reflection),
+        word=sigma.word + (i + 1,),
+        length=sigma.length + 1,
+    )
+
+
+def _least_word(rs: RootSystem, images: Matrix) -> tuple[int, ...]:
+    """The descent rule: the lexicographically least reduced word of sigma.
+
+    Starting from v = sigma(2 rho), take the smallest i with
+    <v, alpha_i^vee> < 0 (then s_i sigma < sigma) and replace v by s_i v,
+    until v is dominant, which happens only at the identity.
+    """
+    reflections = _simple_matrices(rs)
+    v = list(_mat_act(images, [int(2 * c) for c in rs.rho]))
     word = []
-    cur, cur_inv = m, m_inv
-    for _ in range(length):
-        i = next(
-            k for k in range(rs.rank) if not _column_nonneg(cur_inv[k])
-        )
-        word.append(i + 1)
-        cur = _mat_mul(smats[i], cur)
-        cur_inv = _mat_mul(cur_inv, smats[i])
-    return WeylElement(images=m, word=tuple(word), length=length)
+    i = 0
+    while i < len(reflections):
+        pairing = _coroot_pairing(v, reflections[i])
+        if pairing < 0:
+            v[i] -= pairing
+            word.append(i + 1)
+            i = 0
+        else:
+            i += 1
+    return tuple(word)
 
 
 def identity(rs: RootSystem) -> WeylElement:
@@ -197,11 +199,16 @@ def from_word(rs: RootSystem, word) -> WeylElement:
     for i in word:
         if not isinstance(i, int) or not 1 <= i <= rs.rank:
             raise ValueError(f"generator index {i!r} out of range 1..{rs.rank}")
-    m = _word_matrix(rs, word)
-    length = _inversion_count(rs, m)
-    if length == len(word):
-        return WeylElement(images=m, word=word, length=length)
-    return _element_from_matrix(rs, m, _word_matrix(rs, reversed(word)))
+    reflections = _simple_matrices(rs)
+    images = _identity_matrix(rs.rank)
+    # The word is reduced exactly when every right step along it goes up.
+    ascents = 0
+    for i in word:
+        ascents += min(images[i - 1]) >= 0
+        images = _right_step(images, i - 1, reflections[i - 1])
+    if ascents < len(word):
+        word = _least_word(rs, images)
+    return WeylElement(images=images, word=word, length=len(word))
 
 
 def multiply(rs: RootSystem, *elements: WeylElement) -> WeylElement:
@@ -213,14 +220,7 @@ def multiply(rs: RootSystem, *elements: WeylElement) -> WeylElement:
     """
     if not elements:
         raise ValueError("multiply needs at least one element")
-    m = elements[0].images
-    for e in elements[1:]:
-        m = _mat_mul(m, e.images)
-    joined = tuple(i for e in elements for i in e.word)
-    length = _inversion_count(rs, m)
-    if length == len(joined):
-        return WeylElement(images=m, word=joined, length=length)
-    return _element_from_matrix(rs, m, _word_matrix(rs, reversed(joined)))
+    return from_word(rs, [i for e in elements for i in e.word])
 
 
 def act(rs: RootSystem, sigma: WeylElement, w):
@@ -317,26 +317,20 @@ def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
             f"Weyl group of {rs.spec.family}_{rs.spec.rank} has {order} elements, "
             f"above the cap of {MAX_GROUP_ORDER}"
         )
-    smats = _simple_matrices(rs)
-    start = identity(rs)
-    seen = {start.images}
-    out = [start]
-    frontier = [start]
+    reflections = _simple_matrices(rs)
+    frontier = [identity(rs)]
+    out = list(frontier)
+    seen = set(frontier)
     while frontier:
         following = []
         for sigma in frontier:
-            for i in range(rs.rank):
-                if _column_nonneg(sigma.images[i]):
-                    grown = _mat_mul(sigma.images, smats[i])
-                    if grown not in seen:
-                        seen.add(grown)
-                        element = WeylElement(
-                            images=grown,
-                            word=sigma.word + (i + 1,),
-                            length=sigma.length + 1,
-                        )
-                        out.append(element)
-                        following.append(element)
+            for i, reflection in enumerate(reflections):
+                if min(sigma.images[i]) >= 0:
+                    tau = _cover(sigma, i, reflection)
+                    if tau not in seen:
+                        seen.add(tau)
+                        following.append(tau)
+        out.extend(following)
         frontier = following
     return tuple(out)
 

@@ -398,6 +398,22 @@ def test_qmult_over_table_budget_exits_one(capsys, monkeypatch):
     assert "budget" in payload["error"]
 
 
+def test_table_budget_message_for_huge_weight(capsys):
+    # The estimated table size here has more than 4300 digits, past what
+    # str(int) formats; the refusal must still be the budget message.
+    code, out, _ = _run(
+        capsys, "mult", "--family", "A", "--rank", "2",
+        "--lambda", "1e4300,0", "--mu", "zero",
+    )
+    assert code == 1
+    (line,) = out.splitlines()
+    payload = json.loads(line)
+    assert payload["ok"] is False
+    assert payload["error"] == (
+        f"Kostant table exceeds the budget of {kostant.MAX_TABLE_BYTES} bytes"
+    )
+
+
 def test_ideal_over_element_budget_exits_one(capsys):
     # The A_40 set at (highest root, -highest root) is far too large to hold;
     # the search stops at altset.MAX_SET_BYTES instead of exhausting memory.
@@ -439,6 +455,23 @@ def test_rank_over_ceiling_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "rank <= 64" in err
+
+
+def test_catalog_rank_over_ceiling_is_usage_error(capsys):
+    # The closed-form catalog builds no root system, so it checks the rank
+    # ceiling itself; unbounded, rank 1000000 spells out five million words.
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys, "catalog", "--rank", "1000000", "--i", "1", "--j", "1000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "rank <= 64" in err
+    code, out, err = _run(capsys, "catalog", "--rank", "64", "--i", "1", "--j", "64")
+    assert code == 0
+    assert out.startswith("catalog for A_64, root 1..64: ")
+    assert err == ""
 
 
 @pytest.mark.parametrize(

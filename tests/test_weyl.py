@@ -1,5 +1,6 @@
 """Weyl group elements: words, covers, influence, enumeration."""
 
+import functools
 import itertools
 import random
 from operator import mul
@@ -199,3 +200,120 @@ def test_word_text_and_parse_word():
     assert parse_word("e") == ()
     with pytest.raises(ValueError):
         parse_word("sx")
+
+
+# Oracles for the step and descent kernel of `weyl`.  They share no code with
+# it: a simple reflection is applied by the textbook formula
+# s_i(v) = v - <v, alpha_i^vee> alpha_i with the pairing taken from the Gram
+# matrix, and least words come from a breadth-first search over words.
+
+_KERNEL_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+
+
+def _reflect(rs, i, v):
+    """s_i(v) for 1-based i, v in simple-root coordinates."""
+    k = i - 1
+    pairing = 2 * sum(v[j] * rs.gram[j][k] for j in range(rs.rank)) / rs.gram[k][k]
+    return tuple(c - pairing if m == k else c for m, c in enumerate(v))
+
+
+def _apply_word(rs, word, v):
+    for i in reversed(word):
+        v = _reflect(rs, i, v)
+    return v
+
+
+def _oracle_images(rs, word):
+    """Columns sigma(alpha_j) of the product of the word, composed right to left."""
+    basis = [tuple(int(m == j) for m in range(rs.rank)) for j in range(rs.rank)]
+    return tuple(tuple(int(c) for c in _apply_word(rs, word, e)) for e in basis)
+
+
+@functools.lru_cache(maxsize=None)
+def _least_words(rs):
+    """Lexicographically least reduced word of every element, keyed by images.
+
+    Words are grown one letter at a time from the previous layer's least
+    words, in lexicographic order; the first word that reaches an element
+    is its least reduced word, since a prefix of a least word is least.
+    """
+    least = {_oracle_images(rs, ()): ()}
+    layer = [()]
+    while layer:
+        following = []
+        for word in layer:
+            for i in range(1, rs.rank + 1):
+                grown = word + (i,)
+                key = _oracle_images(rs, grown)
+                if key not in least:
+                    least[key] = grown
+                    following.append(grown)
+        layer = following
+    return least
+
+
+def _words(rank, max_length):
+    for length in range(max_length + 1):
+        yield from itertools.product(range(1, rank + 1), repeat=length)
+
+
+@pytest.mark.parametrize("family,rank", _KERNEL_SYSTEMS)
+def test_from_word_images_match_reflection_formula(family, rank):
+    rs = _rs(family, rank)
+    for word in _words(rank, 5):
+        assert from_word(rs, word).images == _oracle_images(rs, word), word
+
+
+@pytest.mark.parametrize("family,rank", _KERNEL_SYSTEMS)
+def test_length_counts_positive_roots_sent_negative(family, rank):
+    rs = _rs(family, rank)
+    elements = list(enumerate_group(rs))
+    elements += [from_word(rs, w) for w in _words(rank, 4)]
+    for sigma in elements:
+        sent_negative = sum(
+            1
+            for root in rs.positive_roots
+            if any(c < 0 for c in _apply_word(rs, sigma.word, root))
+        )
+        assert sent_negative == sigma.length == len(sigma.word)
+        assert _oracle_images(rs, sigma.word) == sigma.images
+
+
+@pytest.mark.parametrize("family,rank", _KERNEL_SYSTEMS)
+def test_non_reduced_words_give_least_reduced_word(family, rank):
+    rs = _rs(family, rank)
+    least = _least_words(rs)
+    assert len(least) == group_order(rs)
+    non_reduced = 0
+    for word in _words(rank, 5):
+        best = least[_oracle_images(rs, word)]
+        sigma = from_word(rs, word)
+        if len(best) < len(word):
+            non_reduced += 1
+            assert sigma.word == best, word
+        else:
+            assert sigma.word == word
+        assert sigma.length == len(best)
+    assert non_reduced
+    for images, word in least.items():
+        assert from_word(rs, word).images == images
+
+
+@pytest.mark.parametrize("family,rank", _KERNEL_SYSTEMS)
+def test_multiply_is_from_word_of_joined_words(family, rank):
+    rs = _rs(family, rank)
+    least = _least_words(rs)
+    group = enumerate_group(rs)
+    rng = random.Random(f"multiply-{family}{rank}")
+    for _ in range(200):
+        sigma, tau = rng.choice(group), rng.choice(group)
+        joined = sigma.word + tau.word
+        product = multiply(rs, sigma, tau)
+        expected = from_word(rs, joined)
+        assert product == expected
+        assert product.word == expected.word
+        assert product.length == expected.length
+        images = _oracle_images(rs, joined)
+        assert product.images == images
+        best = least[images]
+        assert product.word == (joined if len(best) == len(joined) else best)
