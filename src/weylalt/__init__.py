@@ -17,7 +17,6 @@ from .altset import (
     sample_weight_pairs,
     verify_conjecture,
     verify_order_ideal,
-    verify_subword_closure,
 )
 from .bas import (
     BasSet,
@@ -30,7 +29,6 @@ from .bas import (
     independent_subsets,
     reconstruct,
     verify_bijection,
-    verify_monotonicity,
 )
 from .enumeration import (
     PowerSeries,
@@ -62,7 +60,6 @@ from .rootsys import (
     build_root_system,
     dynkin_neighbors,
     fundamental_weights,
-    inner_product,
     is_dominant,
     is_integral,
     neg_root,
@@ -75,7 +72,6 @@ from .typea import (
     catalog_bas,
     forbidden_words,
     psi,
-    verify_catalog,
     verify_catalogs,
     verify_forbidden,
     verify_trichotomy,

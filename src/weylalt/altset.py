@@ -66,7 +66,6 @@ __all__ = [
     "q_multiplicity",
     "verify_order_ideal",
     "verify_conjecture",
-    "verify_subword_closure",
     "sample_weight_pairs",
     "to_json",
     "from_json",
@@ -299,30 +298,6 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
                     _left_step(sigma.images, i, reflection) in images,
                     lambda s=sigma, k=i: (
                         f"left cover below {word_text(s.word)} at s{k + 1} escapes the set"
-                    ),
-                )
-    if not aset.elements:
-        report.note("empty set; closure is vacuous")
-    return report
-
-
-def verify_subword_closure(rs: RootSystem, lam, mu) -> Report:
-    """Check every consecutive subword of each witness lands in the set."""
-    lam = as_weight(lam)
-    mu = as_weight(mu)
-    report = Report(
-        title=f"subword closure {rs.spec.family}_{rs.spec.rank}"
-    )
-    aset = compute(rs, lam, mu)
-    for sigma in aset.elements:
-        w = sigma.word
-        for a in range(len(w)):
-            for b in range(a + 1, len(w) + 1):
-                piece = from_word(rs, w[a:b])
-                report.check(
-                    piece in aset,
-                    lambda s=sigma, p=w[a:b]: (
-                        f"subword {word_text(p)} of {word_text(s.word)} escapes the set"
                     ),
                 )
     if not aset.elements:

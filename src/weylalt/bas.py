@@ -7,6 +7,11 @@ the basic allowable subwords a free generating tableau for the whole set:
 `independent_subsets` composed with `reconstruct` is a bijection onto it,
 and `verify_bijection` certifies that on any computed instance.
 
+The extraction works on influence bitmasks (bit i-1 for s_i, see `weyl`):
+each member gets its mask and its grown mask once, the dependence test on a
+pair is one AND of the two, and independent subsets are enumerated by
+member index against an int mask of the members still allowed.
+
 >>> rs = build_root_system(RootSystemSpec("A", 4))
 >>> bas = compute_bas(rs, rs.highest_root, neg_root(rs, 1, 4))
 >>> len(bas.members), len(independent_subsets(bas))
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .altset import AlternationSet, compute
 from .reporting import Report
@@ -29,11 +34,13 @@ from .rootsys import (
     as_weight,
     build_root_system,
     neg_root,
-    wsub,
 )
 from .weyl import (
     WeylElement,
-    connected_influence,
+    _connected_mask,
+    _extend_mask,
+    _influence_mask,
+    _simple_matrices,
     from_word,
     identity,
     independent,
@@ -52,7 +59,6 @@ __all__ = [
     "independent_subsets",
     "reconstruct",
     "verify_bijection",
-    "verify_monotonicity",
     "classify_product",
     "to_json",
     "from_json",
@@ -68,18 +74,23 @@ class TrichotomyError(RuntimeError):
     """A product of dependent basic elements fit none of the three cases."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasSet:
     """Basic members plus the dependence edges among them.
 
     An edge joins two members that are not independent; independent subsets
-    are exactly the subsets spanning no edge.
+    are exactly the subsets spanning no edge.  Sets compare and hash by
+    identity, so the cache keyed on one never hashes its members and edges.
     """
 
     lam: Weight
     mu: Weight
     members: tuple[WeylElement, ...]
     dependence_edges: tuple[tuple[WeylElement, WeylElement], ...]
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -95,7 +106,9 @@ def compute_bas(
 
     The filter keeps nonidentity members with connected influence; the
     factorization bijection certified by `verify_bijection` is what makes
-    this filter the right notion of irreducibility.
+    this filter the right notion of irreducibility.  Each member's influence
+    mask and grown mask are computed once; a pair is dependent exactly when
+    the earlier member's mask meets the later one's grown mask.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -105,40 +118,49 @@ def compute_bas(
         raise EmptyAlternationSetError(
             "the alternation set is empty; basic subwords are undefined"
         )
-    members = tuple(
-        s for s in aset.elements if s.length and connected_influence(rs, s)
+    reflections = _simple_matrices(rs)
+    members, masks, grown = [], [], []
+    for sigma in aset.elements:
+        mask = _influence_mask(sigma)
+        if sigma.length and _connected_mask(reflections, mask):
+            members.append(sigma)
+            masks.append(mask)
+            grown.append(_extend_mask(reflections, mask))
+    edges = tuple(
+        (members[a], members[b])
+        for a in range(len(members))
+        for b in range(a + 1, len(members))
+        if masks[a] & grown[b]
     )
-    edges = []
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if not independent(rs, members[a], members[b]):
-                edges.append((members[a], members[b]))
-    return BasSet(
-        lam=lam, mu=mu, members=members, dependence_edges=tuple(edges)
-    )
+    return BasSet(lam=lam, mu=mu, members=tuple(members), dependence_edges=edges)
 
 
 def independent_subsets(bas: BasSet) -> tuple[tuple[WeylElement, ...], ...]:
     """All pairwise independent subsets of the members, the empty one included.
 
-    Standard include-or-skip recursion against the dependence edges; the
-    output order is deterministic for a given member order.
+    Members are indexed in order and each gets an int mask of the members
+    its dependence edges block.  A subset extends only by members after its
+    last one that no chosen member blocks, kept as one `allowed` mask, so
+    the output order is deterministic for a given member order and the
+    recursion is no deeper than the largest independent subset.
     """
     members = bas.members
-    blocked = {m: set() for m in members}
+    index = {m: k for k, m in enumerate(members)}
+    blocked = [0] * len(members)
     for a, b in bas.dependence_edges:
-        blocked[a].add(b)
-        blocked[b].add(a)
+        blocked[index[a]] |= 1 << index[b]
+        blocked[index[b]] |= 1 << index[a]
     out = []
 
-    def grow(start: int, chosen: tuple[WeylElement, ...]) -> None:
+    def grow(chosen: tuple[WeylElement, ...], allowed: int) -> None:
         out.append(chosen)
-        for k in range(start, len(members)):
-            candidate = members[k]
-            if all(candidate not in blocked[c] for c in chosen):
-                grow(k + 1, chosen + (candidate,))
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            k = low.bit_length() - 1
+            grow(chosen + (members[k],), allowed & ~blocked[k])
 
-    grow(0, ())
+    grow((), (1 << len(members)) - 1)
     return tuple(out)
 
 
@@ -202,37 +224,6 @@ def verify_bijection(rs: RootSystem, lam, mu) -> Report:
     return report
 
 
-def verify_monotonicity(rs: RootSystem, lam, mu, nu) -> Report:
-    """Check BAS(lambda, mu) = BAS(lambda, nu) when restricted to A(lambda, mu).
-
-    Requires nu below mu (mu - nu a nonnegative integer combination of
-    simple roots), which forces A(lambda, mu) inside A(lambda, nu).
-    """
-    lam = as_weight(lam)
-    mu = as_weight(mu)
-    nu = as_weight(nu)
-    diff = wsub(mu, nu)
-    if any(c < 0 or c.denominator != 1 for c in diff):
-        raise ValueError(
-            "nu must lie below mu: mu - nu needs nonnegative integer coordinates"
-        )
-    report = Report(title=f"basic-set monotonicity {rs.spec.family}_{rs.spec.rank}")
-    aset_mu = compute(rs, lam, mu)
-    aset_nu = compute(rs, lam, nu)
-    bas_mu = compute_bas(rs, lam, mu, aset=aset_mu)
-    bas_nu = compute_bas(rs, lam, nu, aset=aset_nu)
-    in_mu = frozenset(bas_mu.members)
-    for sigma in sorted(
-        set(bas_mu.members) | set(bas_nu.members), key=lambda s: (s.length, s.word)
-    ):
-        expected = sigma in bas_nu.members and sigma in aset_mu
-        report.check(
-            (sigma in in_mu) == expected,
-            lambda s=sigma: f"{word_text(s.word)} breaks the restriction identity",
-        )
-    return report
-
-
 class ProductCase(Enum):
     IN_S = "in-basic-set"
     SHORTER_INDEPENDENT_PRODUCT = "shorter-independent-product"
@@ -246,9 +237,13 @@ class ProductClassification:
     witness: tuple[WeylElement, ...] | None = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _reconstruction_index(rs: RootSystem, bas: BasSet):
-    """Map each product to the least-total-length independent subset."""
+    """Map each product to the least-total-length independent subset.
+
+    Callers classify all products of one basic set before moving to the
+    next, so a few entries suffice and old sets are not kept alive.
+    """
     subsets = sorted(
         independent_subsets(bas),
         key=lambda s: (sum(e.length for e in s), tuple(e.word for e in s)),
@@ -276,7 +271,7 @@ def classify_product(
     raises TrichotomyError, which would falsify the trichotomy on this
     instance.
     """
-    members = frozenset(bas.members)
+    members = bas._members
     if sigma not in members or tau not in members:
         raise ValueError("classify_product expects two members of the basic set")
     if independent(rs, sigma, tau):

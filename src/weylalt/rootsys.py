@@ -33,7 +33,6 @@ __all__ = [
     "RootSystemSpec",
     "RootSystem",
     "build_root_system",
-    "inner_product",
     "neg_root",
     "is_dominant",
     "is_integral",
@@ -239,24 +238,6 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         highest_root=tops[0],
         rho=rho,
     )
-
-
-def inner_product(rs: RootSystem, v, w) -> Fraction:
-    """Exact bilinear form in simple-root coordinates.
-
-    >>> rs = build_root_system(RootSystemSpec("A", 2))
-    >>> inner_product(rs, (1, 0), (0, 1))
-    Fraction(-1, 1)
-    """
-    r = rs.rank
-    if len(v) != r or len(w) != r:
-        raise ValueError(f"expected vectors of length {r}, got {len(v)} and {len(w)}")
-    total = Fraction(0)
-    for i in range(r):
-        if v[i]:
-            row = rs.gram[i]
-            total += v[i] * sum(row[j] * w[j] for j in range(r) if w[j])
-    return total
 
 
 def _pairing(rs: RootSystem, w, i: int) -> Fraction:

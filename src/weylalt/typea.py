@@ -33,7 +33,6 @@ __all__ = [
     "CatalogEntry",
     "XSequence",
     "catalog_bas",
-    "verify_catalog",
     "verify_catalogs",
     "forbidden_words",
     "verify_forbidden",
@@ -148,13 +147,6 @@ def _compare_catalog(report: Report, r: int, i: int, j: int) -> None:
         )
 
     report.check(catalog == computed, detail)
-
-
-def verify_catalog(r: int, i: int, j: int) -> Report:
-    """Compare one catalog with the computed basic allowable subwords."""
-    report = Report(title=f"catalog at r={r}, i={i}, j={j}")
-    _compare_catalog(report, r, i, j)
-    return report
 
 
 def verify_catalogs(max_r: int = 9) -> Report:

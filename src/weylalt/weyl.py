@@ -18,6 +18,13 @@ All matrix arithmetic on elements lives here, as three moves:
   Repeated until v is dominant, it spells the lexicographically least
   reduced word, whose length is the Coxeter length of sigma.
 
+Influences are integer bitmasks, bit i-1 for s_i: the influence of sigma is
+the OR over its witness word, and node i's closed Dynkin neighbourhood is
+the support of the simple-reflection entry the right step already uses.
+Two elements are independent when one's mask ANDs to zero with the other's
+grown mask; `influence`, `extended_influence`, `connected_influence` and
+`independent` read their answers off these masks.
+
 >>> rs = build_root_system(RootSystemSpec("A", 3))
 >>> s13 = from_word(rs, (1, 3))
 >>> s13.length
@@ -34,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import RootSystem, RootSystemSpec, build_root_system, dynkin_neighbors
+from .rootsys import RootSystem, RootSystemSpec, build_root_system
 
 __all__ = [
     "WeylElement",
@@ -230,6 +237,47 @@ def act(rs: RootSystem, sigma: WeylElement, w):
     return _mat_act(sigma.images, w)
 
 
+def _influence_mask(sigma: WeylElement) -> int:
+    """The influence as a bitmask: bit i-1 is set when s_i occurs in the witness."""
+    mask = 0
+    for i in sigma.word:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _extend_mask(reflections: tuple[Reflection, ...], mask: int) -> int:
+    """A node set grown by its Dynkin-diagram neighbors, as a bitmask.
+
+    Node i contributes the support of reflections[i], which lists every j
+    with a_ji nonzero, i itself included (a_ii = 2).
+    """
+    grown = 0
+    for i, reflection in enumerate(reflections):
+        if mask >> i & 1:
+            for j, _ in reflection:
+                grown |= 1 << j
+    return grown
+
+
+def _connected_mask(reflections: tuple[Reflection, ...], mask: int) -> bool:
+    """Whether a node set spans a connected piece of the Dynkin diagram.
+
+    Grows the lowest node's component inside the set until it stops; the
+    empty set counts as connected.
+    """
+    seen = mask & -mask
+    while seen:
+        grown = _extend_mask(reflections, seen) & mask
+        if grown == seen:
+            break
+        seen = grown
+    return seen == mask
+
+
+def _mask_nodes(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def influence(sigma: WeylElement) -> frozenset[int]:
     """Generator indices appearing in a reduced word for sigma.
 
@@ -240,7 +288,7 @@ def influence(sigma: WeylElement) -> frozenset[int]:
     >>> sorted(influence(from_word(rs, (4, 6, 7))))
     [4, 6, 7]
     """
-    return frozenset(sigma.word)
+    return _mask_nodes(_influence_mask(sigma))
 
 
 def extended_influence(rs: RootSystem, sigma: WeylElement) -> frozenset[int]:
@@ -250,11 +298,7 @@ def extended_influence(rs: RootSystem, sigma: WeylElement) -> frozenset[int]:
     >>> sorted(extended_influence(rs, from_word(rs, (1, 2))))
     [1, 2, 3]
     """
-    base = influence(sigma)
-    grown = set(base)
-    for i in base:
-        grown.update(dynkin_neighbors(rs, i))
-    return frozenset(grown)
+    return _mask_nodes(_extend_mask(_simple_matrices(rs), _influence_mask(sigma)))
 
 
 def connected_influence(rs: RootSystem, sigma: WeylElement) -> bool:
@@ -262,30 +306,18 @@ def connected_influence(rs: RootSystem, sigma: WeylElement) -> bool:
 
     The empty influence (the identity) counts as connected.
     """
-    nodes = influence(sigma)
-    if not nodes:
-        return True
-    seen = set()
-    stack = [min(nodes)]
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        for j in dynkin_neighbors(rs, i):
-            if j in nodes and j not in seen:
-                stack.append(j)
-    return seen == set(nodes)
+    return _connected_mask(_simple_matrices(rs), _influence_mask(sigma))
 
 
 def independent(rs: RootSystem, sigma: WeylElement, tau: WeylElement) -> bool:
     """True when the influences of sigma and tau neither meet nor touch.
 
     Equivalent to influence(sigma) being disjoint from the extended
-    influence of tau; the relation is symmetric, and independent elements
-    commute.
+    influence of tau, which on bitmasks is one AND; the relation is
+    symmetric, and independent elements commute.
     """
-    return not (influence(sigma) & extended_influence(rs, tau))
+    grown = _extend_mask(_simple_matrices(rs), _influence_mask(tau))
+    return not _influence_mask(sigma) & grown
 
 
 def group_order(system: RootSystem | RootSystemSpec) -> int:

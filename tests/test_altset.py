@@ -19,7 +19,6 @@ from weylalt.altset import (
     to_json,
     verify_conjecture,
     verify_order_ideal,
-    verify_subword_closure,
 )
 from weylalt.kostant import QPolynomial
 from weylalt.rootsys import (
@@ -115,8 +114,17 @@ def test_order_ideal_and_subword_closure_reports():
     mu = tuple(-c for c in rs.highest_root)
     ideal = verify_order_ideal(rs, rs.highest_root, mu)
     assert ideal.ok and ideal.checked > 0
-    closure = verify_subword_closure(rs, rs.highest_root, mu)
-    assert closure.ok and closure.checked > 0
+    # Every consecutive subword of every witness word lands in the set.
+    aset = compute(rs, rs.highest_root, mu)
+    pieces = [
+        sigma.word[a:b]
+        for sigma in aset.elements
+        for a in range(len(sigma.word))
+        for b in range(a + 1, len(sigma.word) + 1)
+    ]
+    assert pieces
+    escaped = [word_text(w) for w in pieces if from_word(rs, w) not in aset]
+    assert escaped == []
     # Empty sets pass vacuously.
     empty = verify_order_ideal(rs, zero_weight(4), (10, 10, 10, 10))
     assert empty.ok

@@ -14,7 +14,6 @@ from weylalt.bas import (
     to_dot,
     to_json,
     verify_bijection,
-    verify_monotonicity,
 )
 from weylalt.rootsys import RootSystemSpec, build_root_system, zero_weight
 from weylalt.weyl import from_word, word_text
@@ -108,13 +107,19 @@ def test_bijection_report_sweep():
 
 
 def test_monotonicity_report_and_validation():
+    # nu lies below mu, so A(lambda, mu) sits inside A(lambda, nu), and
+    # BAS(lambda, mu) is BAS(lambda, nu) restricted to A(lambda, mu).
     rs = _rs("A", 4)
     mu = tuple(-c for c in rs.highest_root)
     nu = tuple(m - a for m, a in zip(mu, (0, 1, 0, 0)))
-    report = verify_monotonicity(rs, rs.highest_root, mu, nu)
-    assert report.ok and report.checked > 0
-    with pytest.raises(ValueError, match="below mu"):
-        verify_monotonicity(rs, rs.highest_root, nu, mu)
+    aset_mu = compute(rs, rs.highest_root, mu)
+    aset_nu = compute(rs, rs.highest_root, nu)
+    assert set(aset_mu.elements) < set(aset_nu.elements)
+    bas_mu = compute_bas(rs, rs.highest_root, mu, aset=aset_mu)
+    bas_nu = compute_bas(rs, rs.highest_root, nu, aset=aset_nu)
+    restricted = {s for s in bas_nu.members if s in aset_mu}
+    assert set(bas_mu.members) == restricted
+    assert len(bas_nu.members) > len(bas_mu.members)
 
 
 def test_empty_set_raises():

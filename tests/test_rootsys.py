@@ -9,7 +9,6 @@ from weylalt import (
     build_root_system,
     dynkin_neighbors,
     fundamental_weights,
-    inner_product,
     is_dominant,
     is_integral,
     neg_root,
@@ -23,6 +22,12 @@ ALL_SYSTEMS = [("A", 4), ("B", 3), ("C", 3), ("D", 4)]
 
 def _rs(family, rank):
     return build_root_system(RootSystemSpec(family, rank))
+
+
+def _coroot_pairing(rs, v, i):
+    """2(v, alpha_{i+1}) / (alpha_{i+1}, alpha_{i+1}) straight from the Gram matrix."""
+    form = sum(Fraction(v[j]) * rs.gram[j][i] for j in range(rs.rank))
+    return 2 * form / rs.gram[i][i]
 
 
 def test_rank_bounds_rejected():
@@ -63,9 +68,7 @@ def test_cartan_matrices():
 def test_rho_pairs_to_one(family, rank):
     rs = _rs(family, rank)
     for i in range(rank):
-        alpha = tuple(1 if k == i else 0 for k in range(rank))
-        pairing = 2 * inner_product(rs, rs.rho, alpha) / inner_product(rs, alpha, alpha)
-        assert pairing == 1
+        assert _coroot_pairing(rs, rs.rho, i) == 1
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -102,11 +105,7 @@ def test_fundamental_weights_pair_as_kronecker(family, rank):
     omegas = fundamental_weights(rs)
     for i, omega in enumerate(omegas):
         for k in range(rank):
-            alpha = tuple(1 if t == k else 0 for t in range(rank))
-            pairing = (
-                2 * inner_product(rs, omega, alpha) / inner_product(rs, alpha, alpha)
-            )
-            assert pairing == (1 if i == k else 0)
+            assert _coroot_pairing(rs, omega, k) == (1 if i == k else 0)
         assert is_dominant(rs, omega)
         assert is_integral(rs, omega)
 

@@ -7,13 +7,13 @@ import pytest
 from weylalt.enumeration import h_value, highest_root_alternation_set
 from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root
 from weylalt.bas import compute_bas
+from weylalt.weyl import from_word
 from weylalt.typea import (
     CatalogEntry,
     XSequence,
     catalog_bas,
     forbidden_words,
     psi,
-    verify_catalog,
     verify_catalogs,
     verify_forbidden,
     verify_trichotomy,
@@ -92,8 +92,13 @@ def test_catalog_entry_validates_pattern():
 
 
 def test_catalog_matches_computed_basic_set():
-    assert verify_catalog(4, 1, 4).ok
-    assert verify_catalog(6, 2, 4).ok
+    for r, i, j in ((4, 1, 4), (6, 2, 4)):
+        rs = build_root_system(RootSystemSpec("A", r))
+        bas = compute_bas(rs, rs.highest_root, neg_root(rs, i, j))
+        words = [e.word for e in catalog_bas(r, i, j)]
+        catalog = {from_word(rs, w) for w in words}
+        assert len(catalog) == len(words)
+        assert catalog == set(bas.members)
     report = verify_catalogs(6)
     assert report.ok and report.checked > 0
 
