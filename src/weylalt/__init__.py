@@ -58,7 +58,6 @@ from .rootsys import (
     RootSystem,
     RootSystemSpec,
     build_root_system,
-    dynkin_neighbors,
     fundamental_weights,
     is_dominant,
     is_integral,
@@ -83,7 +82,6 @@ from .weyl import (
     WeylElement,
     act,
     enumerate_group,
-    extended_influence,
     from_word,
     group_order,
     identity,

@@ -6,9 +6,15 @@ contribute to the alternating multiplicity formula.  For dominant integral
 lambda the set is a lower ideal in both weak Bruhat orders, so it can be
 grown from the identity by following cover edges and never enumerating the
 full group; `compute` does exactly that, testing each cover on the integer
-residual sigma(lambda + rho) - mu - rho, and records the cover edges it
-crossed, while `compute_naive` filters a full enumeration with a matrix
-action as an oracle.
+residual d(sigma) = sigma(lambda + rho) - mu - rho, and records the cover
+edges it crossed, while `compute_naive` filters a full enumeration with a
+matrix action as an oracle.
+
+The set carries each member's residual beside it.  One predicate maps an
+element to its residual, or to None outside the set; membership, the
+oracle and deserialization use it.  Multiplicities read the Kostant counts
+of the carried residuals, and the closure check looks the covers below a
+member up among them.
 
 >>> rs = build_root_system(RootSystemSpec("A", 3))
 >>> aset = compute(rs, rs.highest_root, zero_weight(3))
@@ -22,7 +28,6 @@ import json
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .kostant import QPolynomial, kostant_counts
@@ -46,8 +51,6 @@ from .weyl import (
     WeylElement,
     _coroot_pairing,
     _cover,
-    _left_step,
-    _right_step,
     _simple_matrices,
     act,
     enumerate_group,
@@ -87,13 +90,15 @@ class AlternationSet:
 
     Elements are in breadth-first order (by length, then lexicographically
     by witness word); edges run upward from each element to the covers that
-    stayed inside the set.
+    stayed inside the set.  residuals[k] is the integer residual
+    elements[k](lambda + rho) - mu - rho.
     """
 
     lam: Weight
     mu: Weight
     elements: tuple[WeylElement, ...]
     edges: tuple[tuple[WeylElement, WeylElement], ...]
+    residuals: tuple[tuple[int, ...], ...]
 
     @cached_property
     def _members(self) -> frozenset:
@@ -116,30 +121,36 @@ def contains(rs: RootSystem, lam, mu, sigma: WeylElement) -> bool:
     when every coordinate of the argument is a nonnegative integer; this
     never counts.  It is the same test `compute_naive` filters the group with.
     """
-    return _acceptance_test(rs, as_weight(lam), as_weight(mu))(sigma)
+    return _residual_test(rs, as_weight(lam), as_weight(mu))(sigma) is not None
 
 
-def _acceptance_test(rs: RootSystem, lam: Weight, mu: Weight):
-    """Membership predicate of `contains` and `compute_naive`.
+def _residual_test(rs: RootSystem, lam: Weight, mu: Weight):
+    """The membership predicate: sigma to its integer residual, or None outside.
 
     It applies the element to lambda + rho and shares nothing with the
     residual recurrence of `compute`, so the exhaustive filter stays an
-    independent oracle for the ideal search.
+    independent oracle for the ideal search.  `contains`, `compute_naive`
+    and `from_json` use it.
     """
     lam_rho = wadd(lam, rs.rho)
     mu_rho = wadd(mu, rs.rho)
 
-    def accept(sigma: WeylElement) -> bool:
-        moved = act(rs, sigma, lam_rho)
-        for a, b in zip(moved, mu_rho):
-            diff = a - b
-            if diff < 0:
-                return False
-            if isinstance(diff, Fraction) and diff.denominator != 1:
-                return False
-        return True
+    def residual(sigma: WeylElement) -> tuple[int, ...] | None:
+        d = []
+        for a, b in zip(act(rs, sigma, lam_rho), mu_rho):
+            c = a - b
+            if c < 0 or c.denominator != 1:
+                return None
+            d.append(int(c))
+        return tuple(d)
 
-    return accept
+    return residual
+
+
+def _coroot_pairings(rs: RootSystem, w) -> list:
+    """<w, alpha_i^vee> for every i, as an int wherever it is an integer."""
+    pairings = [_pairing(rs, w, i) for i in range(rs.rank)]
+    return [int(p) if p.denominator == 1 else p for p in pairings]
 
 
 def compute(rs: RootSystem, lam, mu) -> AlternationSet:
@@ -171,10 +182,9 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
         return compute_naive(rs, lam, mu)
     start_residual = wsub(lam, mu)
     if any(c < 0 or c.denominator != 1 for c in start_residual):
-        return AlternationSet(lam=lam, mu=mu, elements=(), edges=())
+        return AlternationSet(lam=lam, mu=mu, elements=(), edges=(), residuals=())
     r = rs.rank
-    lam_rho = wadd(lam, rs.rho)
-    steps = [int(_pairing(rs, lam_rho, i)) for i in range(r)]
+    steps = _coroot_pairings(rs, wadd(lam, rs.rho))
     reflections = _simple_matrices(rs)
     per_element = 1024 + 64 * r
     limit = MAX_SET_BYTES // per_element
@@ -210,6 +220,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
         mu=mu,
         elements=tuple(sigma for sigma, _ in queue),
         edges=tuple(edges),
+        residuals=tuple(residual for _, residual in queue),
     )
 
 
@@ -217,9 +228,10 @@ def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
     """Filter the whole group; the oracle `compute` is checked against."""
     lam = as_weight(lam)
     mu = as_weight(mu)
-    accept = _acceptance_test(rs, lam, mu)
+    residual = _residual_test(rs, lam, mu)
     reflections = _simple_matrices(rs)
-    elements = [s for s in enumerate_group(rs) if accept(s)]
+    kept = [(s, d) for s in enumerate_group(rs) if (d := residual(s)) is not None]
+    elements = tuple(s for s, _ in kept)
     members = {s: s for s in elements}
     edges = []
     for sigma in elements:
@@ -229,18 +241,19 @@ def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
                 if tau is not None:
                     edges.append((sigma, tau))
     return AlternationSet(
-        lam=lam, mu=mu, elements=tuple(elements), edges=tuple(edges)
+        lam=lam,
+        mu=mu,
+        elements=elements,
+        edges=tuple(edges),
+        residuals=tuple(d for _, d in kept),
     )
 
 
 def _alternating_sum(rs: RootSystem, lam, mu, graded: bool):
-    """Signed Kostant counts at sigma(lambda + rho) - mu - rho, from one table."""
-    lam_rho = wadd(as_weight(lam), rs.rho)
-    mu_rho = wadd(as_weight(mu), rs.rho)
+    """Signed Kostant counts of the set's residuals, from one table."""
     aset = compute(rs, lam, mu)
-    args = [wsub(act(rs, sigma, lam_rho), mu_rho) for sigma in aset]
     total = QPolynomial() if graded else 0
-    for sigma, value in zip(aset, kostant_counts(rs, args, graded)):
+    for sigma, value in zip(aset, kostant_counts(rs, aset.residuals, graded)):
         total = total - value if sigma.length % 2 else total + value
     return total
 
@@ -269,9 +282,17 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
     """Check the set is closed downward under both weak orders.
 
     Every cover below a member (drop one generator on the right, or on the
-    left) must itself be a member.  sigma s_i lies below sigma when
-    sigma(alpha_i) is negative, and s_i sigma when <sigma(2 rho), alpha_i^vee>
-    is: 2 rho pairs positively with every positive coroot.
+    left) must itself be a member, which is to say that its residual is
+    among the set's residuals.  With d the residual of sigma and
+    n_i = <lambda + rho, alpha_i^vee>:
+
+    - sigma s_i lies below sigma when sigma(alpha_i) is negative, and its
+      residual is d - n_i sigma(alpha_i);
+    - s_i sigma has the residual d - p alpha_i, with
+      p = <sigma(lambda + rho), alpha_i^vee> = <d + mu + rho, alpha_i^vee>.
+      For lambda + rho regular dominant, p is negative exactly when s_i
+      sigma lies below sigma; for other lambda, the ones `compute` hands to
+      the exhaustive filter, the left covers checked are those with p < 0.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -280,22 +301,24 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
     )
     aset = compute(rs, lam, mu)
     reflections = _simple_matrices(rs)
-    two_rho = tuple(int(2 * c) for c in rs.rho)
-    # A cover below has no witness word at hand, so it is looked up by matrix.
-    images = {s.images for s in aset.elements}
-    for sigma in aset.elements:
-        moved = act(rs, sigma, two_rho)
+    steps = _coroot_pairings(rs, wadd(lam, rs.rho))
+    offsets = _coroot_pairings(rs, wadd(mu, rs.rho))
+    residuals = set(aset.residuals)
+    for sigma, d in zip(aset.elements, aset.residuals):
         for i, reflection in enumerate(reflections):
-            if min(sigma.images[i]) < 0:
+            col = sigma.images[i]
+            if min(col) < 0:
+                n = steps[i]
                 report.check(
-                    _right_step(sigma.images, i, reflection) in images,
+                    tuple([a - n * b for a, b in zip(d, col)]) in residuals,
                     lambda s=sigma, k=i: (
                         f"right cover below {word_text(s.word)} at s{k + 1} escapes the set"
                     ),
                 )
-            if _coroot_pairing(moved, reflection) < 0:
+            p = _coroot_pairing(d, reflection) + offsets[i]
+            if p < 0:
                 report.check(
-                    _left_step(sigma.images, i, reflection) in images,
+                    d[:i] + (d[i] - p,) + d[i + 1 :] in residuals,
                     lambda s=sigma, k=i: (
                         f"left cover below {word_text(s.word)} at s{k + 1} escapes the set"
                     ),
@@ -359,9 +382,15 @@ def from_json(rs: RootSystem, text: str) -> AlternationSet:
     lam = as_weight(data["lambda"])
     mu = as_weight(data["mu"])
     elements = tuple(from_word(rs, parse_word(w)) for w in data["elements"])
+    residuals = tuple(map(_residual_test(rs, lam, mu), elements))
+    if None in residuals:
+        name = data["elements"][residuals.index(None)]
+        raise ValueError(f"element {name} is outside the alternation set")
     by_name = {word_text(s.word): s for s in elements}
     edges = tuple((by_name[a], by_name[b]) for a, b in data["edges"])
-    return AlternationSet(lam=lam, mu=mu, elements=elements, edges=edges)
+    return AlternationSet(
+        lam=lam, mu=mu, elements=elements, edges=edges, residuals=residuals
+    )
 
 
 def to_dot(aset: AlternationSet) -> str:

@@ -130,9 +130,13 @@ def count_neg_height2(r: int, i: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def highest_root_alternation_set(r: int, i: int, j: int):
-    """A_r(hr, -alpha_{i,j}) in type A, cached across the counting sweeps."""
+    """A_r(hr, -alpha_{i,j}) in type A, cached across the counting sweeps.
+
+    The 256 entries hold every (r, i, j) up to rank 10, 220 of them, which
+    is the largest rank any default suite sweeps.
+    """
     if not 1 <= i <= j <= r:
         raise ValueError(f"need 1 <= i <= j <= r, got i={i}, j={j}, r={r}")
     rs = build_root_system(RootSystemSpec("A", r))

@@ -38,7 +38,6 @@ __all__ = [
     "is_integral",
     "fundamental_weights",
     "partition_to_weight",
-    "dynkin_neighbors",
     "zero_weight",
     "as_weight",
     "wadd",
@@ -240,10 +239,12 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
     )
 
 
-def _pairing(rs: RootSystem, w, i: int) -> Fraction:
-    """2(w, alpha_{i+1}) / (alpha_{i+1}, alpha_{i+1}) for 0-based i."""
-    num = sum(w[j] * rs.gram[j][i] for j in range(rs.rank))
-    return 2 * Fraction(num) / rs.gram[i][i]
+def _pairing(rs: RootSystem, w, i: int):
+    """<w, alpha_{i+1}^vee> for 0-based i, read from column i of the Cartan matrix.
+
+    It is the sum of w_j a_ji over j, an integer for integer input.
+    """
+    return sum(w[j] * rs.cartan[j][i] for j in range(rs.rank))
 
 
 def neg_root(rs: RootSystem, i: int, j: int) -> Weight:
@@ -268,26 +269,13 @@ def is_dominant(rs: RootSystem, w) -> bool:
 
 
 def is_integral(rs: RootSystem, w) -> bool:
-    """True when every coroot pairing 2(w, alpha_i)/(alpha_i, alpha_i) is an integer."""
+    """True when every coroot pairing <w, alpha_i^vee> is an integer."""
     return all(_pairing(rs, w, i).denominator == 1 for i in range(rs.rank))
 
 
 def fundamental_weights(rs: RootSystem) -> tuple[Weight, ...]:
     """omega_1, ..., omega_r in simple-root coordinates."""
     return rs.inverse_cartan
-
-
-def dynkin_neighbors(rs: RootSystem, i: int) -> tuple[int, ...]:
-    """1-based indices adjacent to node i in the Dynkin diagram.
-
-    >>> rs = build_root_system(RootSystemSpec("D", 5))
-    >>> dynkin_neighbors(rs, 3)
-    (2, 4, 5)
-    """
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"node index {i} out of range 1..{rs.rank}")
-    row = rs.cartan[i - 1]
-    return tuple(j + 1 for j in range(rs.rank) if j != i - 1 and row[j] != 0)
 
 
 def partition_to_weight(partition, rank: int) -> Weight:

@@ -6,24 +6,24 @@ matrices agree.  Each element also carries one reduced word as a witness.
 Words are tuples of 1-based generator indices read as function composition:
 from_word((1, 2)) sends v to s_1(s_2(v)).
 
-All matrix arithmetic on elements lives here, as three moves:
+All matrix arithmetic on elements lives here, as two moves:
 
 - the right step sigma -> sigma s_i changes only the columns j with
   a_ji = <alpha_j, alpha_i^vee> nonzero, and it goes up exactly when
   sigma(alpha_i) is positive (a root, so its coordinates share one sign);
-- the left step sigma -> s_i sigma changes coordinate i of every column by
-  that column's pairing with alpha_i^vee;
 - the descent rule reads a reduced word off v = sigma(2 rho): the smallest
   i with <v, alpha_i^vee> < 0 is a left descent, and v -> s_i v removes it.
   Repeated until v is dominant, it spells the lexicographically least
   reduced word, whose length is the Coxeter length of sigma.
 
+An element hashes its matrix once, on first use, and every element of one
+rank starts from the same identity matrix.
+
 Influences are integer bitmasks, bit i-1 for s_i: the influence of sigma is
 the OR over its witness word, and node i's closed Dynkin neighbourhood is
 the support of the simple-reflection entry the right step already uses.
 Two elements are independent when one's mask ANDs to zero with the other's
-grown mask; `influence`, `extended_influence`, `connected_influence` and
-`independent` read their answers off these masks.
+grown mask, which is how `independent` answers.
 
 >>> rs = build_root_system(RootSystemSpec("A", 3))
 >>> s13 = from_word(rs, (1, 3))
@@ -52,8 +52,6 @@ __all__ = [
     "multiply",
     "act",
     "influence",
-    "extended_influence",
-    "connected_influence",
     "independent",
     "enumerate_group",
     "group_order",
@@ -92,14 +90,23 @@ class WeylElement:
             return NotImplemented
         return self.images == other.images
 
+    # Set on the first __hash__; a class attribute, so construction stays cheap.
+    _hash = None
+
     def __hash__(self) -> int:
-        return hash(self.images)
+        h = self._hash
+        if h is None:
+            h = hash(self.images)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"WeylElement({word_text(self.word)!r})"
 
 
+@lru_cache(maxsize=None)
 def _identity_matrix(rank: int) -> Matrix:
+    """The identity, one shared tuple per rank (at most rootsys.MAX_RANK of them)."""
     return tuple(
         tuple(int(m == j) for m in range(rank)) for j in range(rank)
     )
@@ -145,14 +152,6 @@ def _right_step(images: Matrix, i: int, reflection: Reflection) -> Matrix:
     for j, a in reflection:
         cols[j] = tuple([x - a * y for x, y in zip(images[j], col)])
     return tuple(cols)
-
-
-def _left_step(images: Matrix, i: int, reflection: Reflection) -> Matrix:
-    """s_{i+1} sigma: coordinate i of each column drops by its coroot pairing."""
-    return tuple(
-        col[:i] + (col[i] - _coroot_pairing(col, reflection),) + col[i + 1 :]
-        for col in images
-    )
 
 
 def _cover(sigma: WeylElement, i: int, reflection: Reflection) -> WeylElement:
@@ -274,10 +273,6 @@ def _connected_mask(reflections: tuple[Reflection, ...], mask: int) -> bool:
     return seen == mask
 
 
-def _mask_nodes(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def influence(sigma: WeylElement) -> frozenset[int]:
     """Generator indices appearing in a reduced word for sigma.
 
@@ -288,25 +283,7 @@ def influence(sigma: WeylElement) -> frozenset[int]:
     >>> sorted(influence(from_word(rs, (4, 6, 7))))
     [4, 6, 7]
     """
-    return _mask_nodes(_influence_mask(sigma))
-
-
-def extended_influence(rs: RootSystem, sigma: WeylElement) -> frozenset[int]:
-    """The influence together with its Dynkin-diagram neighbors.
-
-    >>> rs = build_root_system(RootSystemSpec("A", 7))
-    >>> sorted(extended_influence(rs, from_word(rs, (1, 2))))
-    [1, 2, 3]
-    """
-    return _mask_nodes(_extend_mask(_simple_matrices(rs), _influence_mask(sigma)))
-
-
-def connected_influence(rs: RootSystem, sigma: WeylElement) -> bool:
-    """Whether the influence spans a connected piece of the Dynkin diagram.
-
-    The empty influence (the identity) counts as connected.
-    """
-    return _connected_mask(_simple_matrices(rs), _influence_mask(sigma))
+    return frozenset(sigma.word)
 
 
 def independent(rs: RootSystem, sigma: WeylElement, tau: WeylElement) -> bool:

@@ -1,5 +1,6 @@
 """Alternation sets: pruned search against the exhaustive filter."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -107,6 +108,7 @@ def test_non_dominant_lambda_falls_back_with_warning():
         aset = compute(rs, lam, (-2, -1, -1))
     naive = compute_naive(rs, lam, (-2, -1, -1))
     assert aset.elements == naive.elements
+    assert aset.residuals == naive.residuals
 
 
 def test_order_ideal_and_subword_closure_reports():
@@ -128,6 +130,36 @@ def test_order_ideal_and_subword_closure_reports():
     # Empty sets pass vacuously.
     empty = verify_order_ideal(rs, zero_weight(4), (10, 10, 10, 10))
     assert empty.ok
+
+
+@pytest.mark.parametrize(
+    "family,rank,checked", [("A", 4, 28), ("B", 3, 17), ("C", 3, 27), ("D", 4, 41)]
+)
+def test_order_ideal_check_counts_at_highest_root(family, rank, checked):
+    rs = _rs(family, rank)
+    top = rs.highest_root
+    report = verify_order_ideal(rs, top, tuple(-c for c in top))
+    assert report.ok
+    assert report.checked == checked
+
+
+def test_order_ideal_report_catches_a_hole(monkeypatch):
+    rs = _rs("A", 4)
+    top = rs.highest_root
+    full = compute(rs, top, tuple(-c for c in top))
+    hole = next(k for k, s in enumerate(full.elements) if s.length == 1)
+
+    def holed(*args):
+        return dataclasses.replace(
+            full,
+            elements=full.elements[:hole] + full.elements[hole + 1 :],
+            residuals=full.residuals[:hole] + full.residuals[hole + 1 :],
+        )
+
+    monkeypatch.setattr(altset, "compute", holed)
+    report = verify_order_ideal(rs, top, tuple(-c for c in top))
+    assert not report.ok
+    assert any("escapes the set" in f for f in report.failures)
 
 
 def test_multiplicity_values():
@@ -156,8 +188,20 @@ def test_json_round_trip_is_byte_identical():
     assert to_json(rs, again) == text
     assert again.elements == aset.elements
     assert again.edges == aset.edges
+    assert again.residuals == aset.residuals
     with pytest.raises(ValueError, match="serialized set is for"):
         from_json(_rs("A", 3), text)
+
+
+def test_from_json_rejects_an_element_outside_the_set():
+    rs = _rs("A", 4)
+    mu = tuple(-c for c in rs.highest_root)
+    text = to_json(rs, compute(rs, rs.highest_root, mu))
+    assert not contains(rs, rs.highest_root, mu, from_word(rs, (1, 2)))
+    outsider = text.replace('"s3 s2"', '"s1 s2"', 1)
+    assert outsider != text
+    with pytest.raises(ValueError, match="s1 s2 is outside the alternation set"):
+        from_json(rs, outsider)
 
 
 def test_dot_output_shape():
@@ -254,6 +298,7 @@ def test_property_search_equals_oracle(family, rank, data):
     fast = compute(rs, lam, mu)
     slow = compute_naive(rs, lam, mu)
     assert fast.elements == slow.elements
+    assert fast.residuals == slow.residuals
     assert [s.word for s in fast] == [s.word for s in slow]
     assert [s.length for s in fast] == [s.length for s in slow]
     assert len(fast.edges) == len(slow.edges)

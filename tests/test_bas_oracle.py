@@ -15,9 +15,11 @@ from weylalt.altset import compute, sample_weight_pairs
 from weylalt.bas import compute_bas, independent_subsets, to_json
 from weylalt.rootsys import RootSystemSpec, build_root_system
 from weylalt.weyl import (
-    connected_influence,
+    _connected_mask,
+    _extend_mask,
+    _influence_mask,
+    _simple_matrices,
     enumerate_group,
-    extended_influence,
     independent,
     influence,
 )
@@ -48,6 +50,10 @@ def _oracle_connected(rs, sigma):
             reached.add(j)
             frontier.append(j)
     return reached == nodes
+
+
+def _nodes(mask):
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _oracle_independent(rs, sigma, tau):
@@ -88,11 +94,13 @@ def _oracle_subsets(members, edges):
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_influence_predicates_on_every_element(family, rank):
     rs = _rs(family, rank)
+    reflections = _simple_matrices(rs)
     group = enumerate_group(rs)
     for sigma in group:
-        assert influence(sigma) == frozenset(sigma.word)
-        assert extended_influence(rs, sigma) == _oracle_extended(rs, sigma)
-        assert connected_influence(rs, sigma) == _oracle_connected(rs, sigma)
+        mask = _influence_mask(sigma)
+        assert influence(sigma) == frozenset(sigma.word) == _nodes(mask)
+        assert _nodes(_extend_mask(reflections, mask)) == _oracle_extended(rs, sigma)
+        assert _connected_mask(reflections, mask) == _oracle_connected(rs, sigma)
     for sigma in group:
         for tau in group:
             want = _oracle_independent(rs, sigma, tau)

@@ -7,7 +7,6 @@ import pytest
 from weylalt import (
     RootSystemSpec,
     build_root_system,
-    dynkin_neighbors,
     fundamental_weights,
     is_dominant,
     is_integral,
@@ -119,12 +118,17 @@ def test_dominance_and_integrality():
 
 
 def test_dynkin_neighbors():
-    assert dynkin_neighbors(_rs("A", 4), 2) == (1, 3)
-    assert dynkin_neighbors(_rs("A", 4), 1) == (2,)
-    assert dynkin_neighbors(_rs("B", 3), 3) == (2,)
+    def neighbors(rs, i):
+        """1-based nodes j != i with a nonzero Cartan entry a_ij."""
+        row = rs.cartan[i - 1]
+        return tuple(j + 1 for j in range(rs.rank) if j != i - 1 and row[j])
+
+    assert neighbors(_rs("A", 4), 2) == (1, 3)
+    assert neighbors(_rs("A", 4), 1) == (2,)
+    assert neighbors(_rs("B", 3), 3) == (2,)
     d5 = _rs("D", 5)
-    assert dynkin_neighbors(d5, 3) == (2, 4, 5)
-    assert dynkin_neighbors(d5, 5) == (3,)
+    assert neighbors(d5, 3) == (2, 4, 5)
+    assert neighbors(d5, 5) == (3,)
 
 
 def test_partition_to_weight_values():

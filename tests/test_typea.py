@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from weylalt.altset import contains
 from weylalt.enumeration import h_value, highest_root_alternation_set
-from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root
+from weylalt.kostant import kostant_partition
+from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root, wadd, wsub
 from weylalt.bas import compute_bas
-from weylalt.weyl import from_word
+from weylalt.weyl import act, from_word
 from weylalt.typea import (
     CatalogEntry,
     XSequence,
@@ -131,6 +133,16 @@ def test_forbidden_words_small_ranks():
 def test_forbidden_words_vanishing_partition_count():
     report = verify_forbidden(6)
     assert report.ok and report.checked > 0
+    # The oracle: the partition count at sigma(hr + rho) + hr - rho vanishes.
+    for r in range(2, 7):
+        rs = build_root_system(RootSystemSpec("A", r))
+        top = rs.highest_root
+        lam_rho = wadd(top, rs.rho)
+        for word in forbidden_words(r):
+            sigma = from_word(rs, word)
+            shifted = wsub(wadd(act(rs, sigma, lam_rho), top), rs.rho)
+            assert kostant_partition(rs, shifted) == 0, word
+            assert not contains(rs, top, tuple(-c for c in top), sigma), word
 
 
 def test_trichotomy_sweep():
