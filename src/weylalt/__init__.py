@@ -59,8 +59,6 @@ from .rootsys import (
     RootSystemSpec,
     build_root_system,
     fundamental_weights,
-    is_dominant,
-    is_integral,
     neg_root,
     partition_to_weight,
     zero_weight,

@@ -7,12 +7,13 @@ lambda the set is a lower ideal in both weak Bruhat orders, so it can be
 grown from the identity by following cover edges and never enumerating the
 full group; `compute` does exactly that, testing each cover on the integer
 residual d(sigma) = sigma(lambda + rho) - mu - rho, and records the cover
-edges it crossed, while `compute_naive` filters a full enumeration with a
-matrix action as an oracle.
+edges it crossed, while `compute_naive` filters a full enumeration with
+the membership predicate as an oracle.
 
 The set carries each member's residual beside it.  One predicate maps an
-element to its residual, or to None outside the set; membership, the
-oracle and deserialization use it.  Multiplicities read the Kostant counts
+element to its residual, or to None outside the set, by walking the
+element's witness word from d(e) = lambda - mu with left steps; membership,
+the oracle and deserialization use it.  Multiplicities read the Kostant counts
 of the carried residuals, and the closure check looks the covers below a
 member up among them.
 
@@ -36,12 +37,9 @@ from .rootsys import (
     RootSystem,
     RootSystemSpec,
     Weight,
-    _pairing,
     as_weight,
     build_root_system,
     fundamental_weights,
-    is_dominant,
-    is_integral,
     neg_root,
     wadd,
     wsub,
@@ -50,9 +48,10 @@ from .rootsys import (
 from .weyl import (
     WeylElement,
     _coroot_pairing,
+    _coroot_pairings,
     _cover,
     _simple_matrices,
-    act,
+    _walk,
     enumerate_group,
     from_word,
     identity,
@@ -127,30 +126,22 @@ def contains(rs: RootSystem, lam, mu, sigma: WeylElement) -> bool:
 def _residual_test(rs: RootSystem, lam: Weight, mu: Weight):
     """The membership predicate: sigma to its integer residual, or None outside.
 
-    It applies the element to lambda + rho and shares nothing with the
-    residual recurrence of `compute`, so the exhaustive filter stays an
-    independent oracle for the ideal search.  `contains`, `compute_naive`
-    and `from_json` use it.
+    It walks sigma's witness word from d(e) = lambda - mu (in ints when that
+    and the mu + rho offsets are integral), reads no images and shares
+    nothing with `compute`, so the exhaustive filter stays an independent
+    oracle.  `contains`, `compute_naive` and `from_json` use it.
     """
-    lam_rho = wadd(lam, rs.rho)
-    mu_rho = wadd(mu, rs.rho)
+    reflections = _simple_matrices(rs)
+    start = [int(c) if c.denominator == 1 else c for c in wsub(lam, mu)]
+    offsets = _coroot_pairings(rs, wadd(mu, rs.rho))
 
     def residual(sigma: WeylElement) -> tuple[int, ...] | None:
-        d = []
-        for a, b in zip(act(rs, sigma, lam_rho), mu_rho):
-            c = a - b
-            if c < 0 or c.denominator != 1:
-                return None
-            d.append(int(c))
-        return tuple(d)
+        d = _walk(reflections, sigma.word, start, offsets)
+        if min(d) < 0 or any(c.denominator != 1 for c in d):
+            return None
+        return tuple(map(int, d))
 
     return residual
-
-
-def _coroot_pairings(rs: RootSystem, w) -> list:
-    """<w, alpha_i^vee> for every i, as an int wherever it is an integer."""
-    pairings = [_pairing(rs, w, i) for i in range(rs.rank)]
-    return [int(p) if p.denominator == 1 else p for p in pairings]
 
 
 def compute(rs: RootSystem, lam, mu) -> AlternationSet:
@@ -174,7 +165,9 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
-    if not (is_dominant(rs, lam) and is_integral(rs, lam)):
+    # Dominant integral lambda: every <lambda + rho, alpha_i^vee> an int >= 1.
+    steps = _coroot_pairings(rs, wadd(lam, rs.rho))
+    if not all(isinstance(n, int) and n >= 1 for n in steps):
         warnings.warn(
             "lambda is not dominant integral; falling back to full enumeration",
             stacklevel=2,
@@ -184,7 +177,6 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     if any(c < 0 or c.denominator != 1 for c in start_residual):
         return AlternationSet(lam=lam, mu=mu, elements=(), edges=(), residuals=())
     r = rs.rank
-    steps = _coroot_pairings(rs, wadd(lam, rs.rho))
     reflections = _simple_matrices(rs)
     per_element = 1024 + 64 * r
     limit = MAX_SET_BYTES // per_element
@@ -372,6 +364,31 @@ def to_json(rs: RootSystem, aset: AlternationSet) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _read_elements(rs: RootSystem, names) -> dict[str, WeylElement]:
+    """Names to elements, each a reduced word as `word_text` spells it, once.
+
+    That keeps round trips byte-identical; ValueError names a bad entry.
+    """
+    names_of = {}
+    for name in names:
+        sigma = from_word(rs, parse_word(name))
+        if word_text(sigma.word) != name:
+            raise ValueError(f"element {name!r} is not a reduced word as written")
+        if sigma in names_of:
+            raise ValueError(f"element {name!r} repeats an element listed before")
+        names_of[sigma] = name
+    return {name: sigma for sigma, name in names_of.items()}
+
+
+def _read_edges(by_name: dict[str, WeylElement], pairs) -> tuple:
+    """Serialized edges to element pairs; ValueError names an unlisted end."""
+    for pair in pairs:
+        for name in pair:
+            if name not in by_name:
+                raise ValueError(f"edge {pair!r} names {name!r}, which is not listed")
+    return tuple((by_name[a], by_name[b]) for a, b in pairs)
+
+
 def from_json(rs: RootSystem, text: str) -> AlternationSet:
     data = json.loads(text)
     if data["family"] != rs.spec.family or data["rank"] != rs.spec.rank:
@@ -381,13 +398,13 @@ def from_json(rs: RootSystem, text: str) -> AlternationSet:
         )
     lam = as_weight(data["lambda"])
     mu = as_weight(data["mu"])
-    elements = tuple(from_word(rs, parse_word(w)) for w in data["elements"])
+    by_name = _read_elements(rs, data["elements"])
+    elements = tuple(by_name.values())
     residuals = tuple(map(_residual_test(rs, lam, mu), elements))
     if None in residuals:
         name = data["elements"][residuals.index(None)]
         raise ValueError(f"element {name} is outside the alternation set")
-    by_name = {word_text(s.word): s for s in elements}
-    edges = tuple((by_name[a], by_name[b]) for a, b in data["edges"])
+    edges = _read_edges(by_name, data["edges"])
     return AlternationSet(
         lam=lam, mu=mu, elements=elements, edges=edges, residuals=residuals
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
-from .altset import AlternationSet, compute
+from .altset import AlternationSet, _read_edges, _read_elements, compute
 from .reporting import Report
 from .rootsys import (
     RootSystem,
@@ -45,7 +45,6 @@ from .weyl import (
     identity,
     independent,
     multiply,
-    parse_word,
     word_text,
 )
 
@@ -319,16 +318,12 @@ def from_json(rs: RootSystem, text: str) -> BasSet:
             f"serialized set is for {data['family']}_{data['rank']}, "
             f"not {rs.spec.family}_{rs.spec.rank}"
         )
-    members = tuple(from_word(rs, parse_word(w)) for w in data["members"])
-    by_name = {word_text(s.word): s for s in members}
-    edges = tuple(
-        (by_name[a], by_name[b]) for a, b in data["dependence_edges"]
-    )
+    by_name = _read_elements(rs, data["members"])
     return BasSet(
         lam=as_weight(data["lambda"]),
         mu=as_weight(data["mu"]),
-        members=members,
-        dependence_edges=edges,
+        members=tuple(by_name.values()),
+        dependence_edges=_read_edges(by_name, data["dependence_edges"]),
     )
 
 

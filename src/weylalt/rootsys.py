@@ -34,8 +34,6 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "neg_root",
-    "is_dominant",
-    "is_integral",
     "fundamental_weights",
     "partition_to_weight",
     "zero_weight",
@@ -239,14 +237,6 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
     )
 
 
-def _pairing(rs: RootSystem, w, i: int):
-    """<w, alpha_{i+1}^vee> for 0-based i, read from column i of the Cartan matrix.
-
-    It is the sum of w_j a_ji over j, an integer for integer input.
-    """
-    return sum(w[j] * rs.cartan[j][i] for j in range(rs.rank))
-
-
 def neg_root(rs: RootSystem, i: int, j: int) -> Weight:
     """The negated consecutive root sum -(alpha_i + ... + alpha_j), 1-based.
 
@@ -261,16 +251,6 @@ def neg_root(rs: RootSystem, i: int, j: int) -> Weight:
     return tuple(
         Fraction(-1) if i <= k + 1 <= j else Fraction(0) for k in range(rs.rank)
     )
-
-
-def is_dominant(rs: RootSystem, w) -> bool:
-    """True when (w, alpha_i) >= 0 for every simple root."""
-    return all(_pairing(rs, w, i) >= 0 for i in range(rs.rank))
-
-
-def is_integral(rs: RootSystem, w) -> bool:
-    """True when every coroot pairing <w, alpha_i^vee> is an integer."""
-    return all(_pairing(rs, w, i).denominator == 1 for i in range(rs.rank))
 
 
 def fundamental_weights(rs: RootSystem) -> tuple[Weight, ...]:

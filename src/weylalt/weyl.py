@@ -6,11 +6,14 @@ matrices agree.  Each element also carries one reduced word as a witness.
 Words are tuples of 1-based generator indices read as function composition:
 from_word((1, 2)) sends v to s_1(s_2(v)).
 
-All matrix arithmetic on elements lives here, as two moves:
+All arithmetic on elements lives here, as three moves:
 
 - the right step sigma -> sigma s_i changes only the columns j with
   a_ji = <alpha_j, alpha_i^vee> nonzero, and it goes up exactly when
   sigma(alpha_i) is positive (a root, so its coordinates share one sign);
+- the left step s_i v = v - <v, alpha_i^vee> alpha_i on a weight changes
+  only coordinate i; walking a word for sigma by left steps, last letter
+  first, applies sigma to a weight, which is how `act` works;
 - the descent rule reads a reduced word off v = sigma(2 rho): the smallest
   i with <v, alpha_i^vee> < 0 is a left descent, and v -> s_i v removes it.
   Repeated until v is dominant, it spells the lexicographically least
@@ -112,19 +115,6 @@ def _identity_matrix(rank: int) -> Matrix:
     )
 
 
-def _mat_act(m: Matrix, v):
-    r = len(m)
-    out = [0] * r
-    for j in range(r):
-        coefficient = v[j]
-        if coefficient:
-            col = m[j]
-            for k in range(r):
-                if col[k]:
-                    out[k] = out[k] + coefficient * col[k]
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _simple_matrices(rs: RootSystem) -> tuple[Reflection, ...]:
     """The simple reflections, sparsely, 0-based by generator.
@@ -145,6 +135,25 @@ def _coroot_pairing(v, reflection: Reflection) -> int:
     return sum(v[j] * a for j, a in reflection)
 
 
+def _coroot_pairings(rs: RootSystem, w) -> list:
+    """<w, alpha_i^vee> for every i, as an int wherever it is an integer."""
+    pairings = [_coroot_pairing(w, reflection) for reflection in _simple_matrices(rs)]
+    return [int(p) if p.denominator == 1 else p for p in pairings]
+
+
+def _walk(reflections: tuple[Reflection, ...], word, v, offsets) -> list:
+    """Apply a word to v by left steps s_i v = v - <v, alpha_i^vee> alpha_i.
+
+    The last letter acts first.  With offsets the pairings of a weight m,
+    the same steps carry a residual x - m to sigma(x) - m.
+    """
+    v = list(v)
+    for i in reversed(word):
+        i -= 1
+        v[i] -= _coroot_pairing(v, reflections[i]) + offsets[i]
+    return v
+
+
 def _right_step(images: Matrix, i: int, reflection: Reflection) -> Matrix:
     """sigma s_{i+1}: column j becomes sigma(alpha_j) - a_ji sigma(alpha_i)."""
     col = images[i]
@@ -163,15 +172,15 @@ def _cover(sigma: WeylElement, i: int, reflection: Reflection) -> WeylElement:
     )
 
 
-def _least_word(rs: RootSystem, images: Matrix) -> tuple[int, ...]:
+def _least_word(rs: RootSystem, word) -> tuple[int, ...]:
     """The descent rule: the lexicographically least reduced word of sigma.
 
-    Starting from v = sigma(2 rho), take the smallest i with
-    <v, alpha_i^vee> < 0 (then s_i sigma < sigma) and replace v by s_i v,
-    until v is dominant, which happens only at the identity.
+    Walks v = sigma(2 rho) along any word for sigma, then takes the smallest
+    i with <v, alpha_i^vee> < 0 (then s_i sigma < sigma) and replaces v by
+    s_i v, until v is dominant, which happens only at the identity.
     """
     reflections = _simple_matrices(rs)
-    v = list(_mat_act(images, [int(2 * c) for c in rs.rho]))
+    v = _walk(reflections, word, [int(2 * c) for c in rs.rho], (0,) * rs.rank)
     word = []
     i = 0
     while i < len(reflections):
@@ -213,7 +222,7 @@ def from_word(rs: RootSystem, word) -> WeylElement:
         ascents += min(images[i - 1]) >= 0
         images = _right_step(images, i - 1, reflections[i - 1])
     if ascents < len(word):
-        word = _least_word(rs, images)
+        word = _least_word(rs, word)
     return WeylElement(images=images, word=word, length=len(word))
 
 
@@ -230,10 +239,10 @@ def multiply(rs: RootSystem, *elements: WeylElement) -> WeylElement:
 
 
 def act(rs: RootSystem, sigma: WeylElement, w):
-    """Apply sigma to a weight in simple-root coordinates."""
+    """Apply sigma to a weight in simple-root coordinates, by left steps."""
     if len(w) != rs.rank:
         raise ValueError(f"expected a vector of length {rs.rank}, got {len(w)}")
-    return _mat_act(sigma.images, w)
+    return tuple(_walk(_simple_matrices(rs), sigma.word, w, (0,) * rs.rank))
 
 
 def _influence_mask(sigma: WeylElement) -> int:

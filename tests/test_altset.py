@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from weylalt.altset import (
 from weylalt.kostant import QPolynomial
 from weylalt.rootsys import (
     RootSystemSpec,
+    as_weight,
     build_root_system,
     fundamental_weights,
     neg_root,
@@ -31,11 +34,28 @@ from weylalt.rootsys import (
     wsub,
     zero_weight,
 )
-from weylalt.weyl import from_word, word_text
+from weylalt.weyl import enumerate_group, from_word, word_text
 
 
 def _rs(family, rank):
     return build_root_system(RootSystemSpec(family, rank))
+
+
+def _coroot_pairing(rs, v, i):
+    """2(v, alpha_{i+1}) / (alpha_{i+1}, alpha_{i+1}) straight from the Gram matrix."""
+    form = sum(Fraction(v[j]) * rs.gram[j][i] for j in range(rs.rank))
+    return 2 * form / rs.gram[i][i]
+
+
+def _matrix_residual(rs, lam, mu, sigma):
+    """sigma(lambda + rho) - mu - rho through the images matrix, or None outside."""
+    x = wadd(lam, rs.rho)
+    r = rs.rank
+    image = [sum(x[j] * sigma.images[j][k] for j in range(r)) for k in range(r)]
+    d = wsub(image, wadd(mu, rs.rho))
+    if any(c < 0 or c.denominator != 1 for c in d):
+        return None
+    return tuple(map(int, d))
 
 
 def _words(aset):
@@ -220,10 +240,9 @@ def test_sample_pairs_are_deterministic_and_dominant():
     second = sample_weight_pairs(rs, 5, seed=3)
     assert first == second
     assert first != sample_weight_pairs(rs, 5, seed=4)
-    from weylalt.rootsys import is_dominant, is_integral
-
     for lam, mu in first:
-        assert is_dominant(rs, lam) and is_integral(rs, lam)
+        pairings = [_coroot_pairing(rs, lam, i) for i in range(rs.rank)]
+        assert all(p >= 0 and p.denominator == 1 for p in pairings)
         aset = compute(rs, lam, mu)
         assert len(aset) >= 1
 
@@ -319,3 +338,51 @@ def test_property_mu_off_the_root_lattice_coset_gives_empty_set(family, rank, da
     off = [w for w in fundamental_weights(rs) if any(c.denominator != 1 for c in w)]
     shifted = wsub(mu, data.draw(st.sampled_from(off)))
     assert len(compute(rs, lam, shifted)) == 0
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_residual_walk_equals_matrix_predicate(family):
+    # The predicate walks the witness word; the images matrix is the reference.
+    rs = _rs(family, 3)
+    lams = [rs.highest_root, (Fraction(1, 2), 0, 0), (-1, 0, 0)]
+    on_lattice = [zero_weight(3), (-1, -2, -1)]
+    mus = on_lattice + [(Fraction(-1, 2), 0, 0), (Fraction(1, 3), -1, 0)]
+    pairs = [(lam, mu) for lam in lams for mu in mus]
+    pairs += sample_weight_pairs(rs, 3, seed=5)
+    group = enumerate_group(rs)
+    kept = 0
+    for lam, mu in pairs:
+        residual = altset._residual_test(rs, as_weight(lam), as_weight(mu))
+        for sigma in group:
+            expected = _matrix_residual(rs, lam, mu, sigma)
+            assert residual(sigma) == expected
+            kept += expected is not None
+    assert kept > len(pairs)
+
+
+def _a3_payload():
+    rs = _rs("A", 3)
+    data = json.loads(to_json(rs, compute(rs, rs.highest_root, zero_weight(3))))
+    assert data["elements"] == ["e", "s2"] and data["edges"] == [["e", "s2"]]
+    return rs, data
+
+
+def test_from_json_rejects_an_edge_to_an_unlisted_element():
+    rs, data = _a3_payload()
+    data["edges"] = [["s2", "s1"]]
+    with pytest.raises(ValueError, match="names 's1', which is not listed"):
+        from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_a_duplicated_element():
+    rs, data = _a3_payload()
+    data["elements"].append("s2")
+    with pytest.raises(ValueError, match="'s2' repeats an element"):
+        from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_a_spelling_that_is_not_the_witness():
+    rs, data = _a3_payload()
+    data["elements"] = ["e", "s2 s2 s2"]
+    with pytest.raises(ValueError, match="'s2 s2 s2' is not a reduced word"):
+        from_json(rs, json.dumps(data))

@@ -1,5 +1,7 @@
 """Basic allowable subwords, their dependence graph, and the factorization."""
 
+import json
+
 import pytest
 
 from weylalt.altset import compute, sample_weight_pairs
@@ -155,6 +157,31 @@ def test_json_round_trip_is_byte_identical():
     assert again.dependence_edges == bas.dependence_edges
     with pytest.raises(ValueError, match="serialized set is for"):
         from_json(_rs("A", 3), text)
+
+
+def test_from_json_rejects_an_edge_to_an_unlisted_element():
+    rs, _, bas = _a4_setup()
+    data = json.loads(to_json(rs, bas))
+    data["dependence_edges"].append(["s1", "s1 s2"])
+    with pytest.raises(ValueError, match="names 's1 s2', which is not listed"):
+        from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_a_duplicated_member():
+    rs, _, bas = _a4_setup()
+    data = json.loads(to_json(rs, bas))
+    assert "s2 s3 s2" in data["members"]
+    data["members"].append("s3 s2 s3")
+    with pytest.raises(ValueError, match="'s3 s2 s3' repeats an element"):
+        from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_a_spelling_that_is_not_the_witness():
+    rs, _, bas = _a4_setup()
+    data = json.loads(to_json(rs, bas))
+    data["members"][0] = "s1 s1 s1"
+    with pytest.raises(ValueError, match="'s1 s1 s1' is not a reduced word"):
+        from_json(rs, json.dumps(data))
 
 
 def test_dot_output_shape():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -33,6 +34,13 @@ from weylalt.weyl import (
 
 def _rs(family, rank):
     return build_root_system(RootSystemSpec(family, rank))
+
+
+def _matrix_act(images, v):
+    """sigma(v) as the images matrix times v: column j is sigma(alpha_{j+1})."""
+    return tuple(
+        sum(v[j] * images[j][k] for j in range(len(v))) for k in range(len(v))
+    )
 
 
 def _reduced_words(rs, sigma):
@@ -128,6 +136,21 @@ def test_action_on_simple_roots():
     assert act(rs, s2, (0, 1, 0)) == (0, -1, 0)
     assert act(rs, s2, (1, 0, 0)) == (1, 1, 0)
     assert act(rs, s2, (0, 0, 1)) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_act_walk_equals_matrix_action(family, rank):
+    # act walks the witness word by left steps; the images matrix is the reference.
+    rs = _rs(family, rank)
+    vectors = [
+        rs.highest_root,
+        tuple(range(1, rank + 1)),
+        rs.rho,
+        tuple(Fraction(k - 1, k + 1) for k in range(rank)),
+    ]
+    for sigma in enumerate_group(rs):
+        for v in vectors:
+            assert act(rs, sigma, v) == _matrix_act(sigma.images, v)
 
 
 def test_inverse_and_multiply():
