@@ -5,10 +5,12 @@ sigma with P(sigma(lambda + rho) - mu - rho) > 0, the terms that actually
 contribute to the alternating multiplicity formula.  For dominant integral
 lambda the set is a lower ideal in both weak Bruhat orders, so it can be
 grown from the identity by following cover edges and never enumerating the
-full group; `compute` does exactly that, testing each cover on the integer
-residual d(sigma) = sigma(lambda + rho) - mu - rho, and records the cover
-edges it crossed, while `compute_naive` filters a full enumeration with
-the membership predicate as an oracle.
+full group.  `compute` does exactly that with left covers s_j sigma, which
+move only coordinate j of the integer residual d(sigma) = sigma(lambda +
+rho) - mu - rho, and it records the right-cover edges inside the set, which
+it derives from each element's left parent; `compute_naive` filters a full
+enumeration with the membership predicate as an oracle, and takes its
+edges from `from_word`.
 
 The set carries each member's residual beside it.  One predicate maps an
 element to its residual, or to None outside the set, by walking the
@@ -49,7 +51,7 @@ from .weyl import (
     WeylElement,
     _coroot_pairing,
     _coroot_pairings,
-    _cover,
+    _moved,
     _simple_matrices,
     _walk,
     enumerate_group,
@@ -75,11 +77,12 @@ __all__ = [
 ]
 
 #: Largest alternation set `compute` grows, in bytes of estimated memory.  An
-#: element costs about 1024 + 64 * rank bytes: its object, word, residual key
-#: and edges, plus the few columns of its images matrix not shared with the
-#: element below it.  Peak RSS measured 900 + 37 * rank bytes per element of
-#: (highest root, -highest root) sets at ranks 15 to 40 in CPython 3.11; the
-#: rest is room for residual entries too large for the small-int cache.
+#: element is budgeted 1024 + 64 * rank bytes: its object, key sigma(2 rho),
+#: word, residual and edges, plus its share of the two layers of cover lists
+#: the search holds at once.  Peak RSS measured 835 to 1090 bytes per element
+#: of (highest root, -highest root) sets at ranks 14 to 40 in CPython 3.11
+#: (A_14, A_15 whole; B_15, D_25, C_40 up to the budget); the rest is room
+#: for entries too large for the small-int cache.
 MAX_SET_BYTES = 2**28
 
 
@@ -145,23 +148,35 @@ def _residual_test(rs: RootSystem, lam: Weight, mu: Weight):
 
 
 def compute(rs: RootSystem, lam, mu) -> AlternationSet:
-    """Grow the alternation set upward from the identity on integer residuals.
+    """Grow the alternation set upward from the identity by left covers.
 
     Needs lambda dominant and integral, which is what makes the set an
     ideal in the weak orders; other lambda fall back to the exhaustive
     filter (with a warning) since the pruned search could then miss
     elements.
 
-    Each element sigma is keyed by its residual d(sigma) = sigma(lambda +
-    rho) - mu - rho, starting from d(e) = lambda - mu.  Crossing the cover
-    sigma s_i (an ascent: sigma(alpha_i) positive) subtracts
-    n_i sigma(alpha_i), where n_i = <lambda + rho, alpha_i^vee> >= 1, and
-    the cover is a member exactly when every entry stays nonnegative.  The
-    weight lambda + rho is regular, so distinct elements have distinct
-    residuals and one dict keyed by them dedupes the search.  Only accepted
-    covers get an images matrix, from the right step of `weyl`, which
-    changes only sigma's columns of i and its Dynkin neighbours.  Raises
-    ValueError as soon as the set's estimated memory passes MAX_SET_BYTES.
+    Each element sigma is reached by its residual d(sigma) = sigma(lambda +
+    rho) - mu - rho alone, starting from d(e) = lambda - mu.  The left step
+    s_j sigma subtracts p alpha_j, with p = <sigma(lambda + rho), alpha_j^vee>
+    = <d, alpha_j^vee> + o_j and o_j = <mu + rho, alpha_j^vee>, so only
+    coordinate j changes.  Since lambda + rho is regular dominant, the step
+    is a cover exactly when p > 0, and the cover is a member exactly when
+    d_j >= p.  Distinct elements have distinct residuals, so one dict per
+    layer dedupes it; looping over j outside and the layer inside reaches
+    each element first by its lexicographically least reduced word, as
+    `enumerate_group` does, and the set is a lower ideal of the left weak
+    order, so no member is missed.
+
+    The right-cover edges come from the left parent, with no matrix.  The
+    identity's right covers are its left covers.  For tau = s_j sigma they
+    are s_j c for each right cover c = sigma s_i of sigma in the set on
+    which s_j goes up and stays in the set.  Nothing is missed: a right
+    descent of sigma stays one of tau, and if tau s_i is in the set, so is
+    sigma s_i, which lies below tau s_i = s_j sigma s_i in the left weak
+    order.  A layer's covers are looked up once the layer above exists, so
+    they share its entries, and they are dropped one layer later; the edges
+    come out in (element, i) order.  Raises ValueError as soon as the set's
+    estimated memory passes MAX_SET_BYTES.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -180,63 +195,101 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     reflections = _simple_matrices(rs)
     per_element = 1024 + 64 * r
     limit = MAX_SET_BYTES // per_element
-    start = identity(rs)
-    queue = [(start, tuple(map(int, start_residual)))]
-    by_residual = {queue[0][1]: start}
+    start = tuple(map(int, start_residual))
+    # o_j = <mu + rho, alpha_j^vee> = n_j - <lambda - mu, alpha_j^vee>, in ints.
+    offsets = [n - _coroot_pairing(start, f) for n, f in zip(steps, reflections)]
+    # One layer, residual -> (element, residual, left parent's residual, j).
+    layer = {start: (identity(rs), start, None, None)}
+    elements = [layer[start][0]]
+    residuals = [start]
     edges = []
-    # The loop reads covers appended behind it, so elements come out breadth-first.
-    for sigma, residual in queue:
-        images = sigma.images
-        for i in range(r):
-            col = images[i]
-            if min(col) < 0:
-                continue
-            n = steps[i]
-            grown = tuple([a - n * b for a, b in zip(residual, col)])
-            tau = by_residual.get(grown)
-            if tau is None:
-                if min(grown) < 0:
+    parent_covers = {}
+    while layer:
+        following = {}
+        for j, reflection in enumerate(reflections):
+            o = offsets[j]
+            for d, (sigma, _, _, _) in layer.items():
+                p = _coroot_pairing(d, reflection) + o
+                if p <= 0 or d[j] < p:
                     continue
-                tau = _cover(sigma, i, reflections[i])
-                by_residual[grown] = tau
-                queue.append((tau, grown))
-                if len(queue) > limit:
+                grown = _moved(d, j, p)
+                if grown in following:
+                    continue
+                key = sigma.key
+                tau = WeylElement(
+                    rs=rs,
+                    key=_moved(key, j, _coroot_pairing(key, reflection)),
+                    word=(j + 1,) + sigma.word,
+                    length=sigma.length + 1,
+                )
+                following[grown] = (tau, grown, d, j)
+                elements.append(tau)
+                residuals.append(grown)
+                if len(elements) > limit:
                     raise ValueError(
                         f"alternation set of more than {limit} elements exceeds the "
                         f"budget of {MAX_SET_BYTES} bytes (~{per_element} per element "
                         f"at rank {r})"
                     )
-            edges.append((sigma, tau))
+        # Right covers of the layer, as entries of the next one.
+        covers = {}
+        for d, (sigma, _, parent, j) in layer.items():
+            if parent is None:
+                # The identity's right covers are its left covers, all of layer 1.
+                found = list(following.values())
+            else:
+                reflection, o = reflections[j], offsets[j]
+                found = []
+                for entry in parent_covers[parent]:
+                    c = entry[1]
+                    q = _coroot_pairing(c, reflection) + o
+                    if 0 < q <= c[j]:
+                        found.append(following[_moved(c, j, q)])
+            covers[d] = found
+            edges.extend((sigma, entry[0]) for entry in found)
+        parent_covers = covers
+        layer = following
     return AlternationSet(
         lam=lam,
         mu=mu,
-        elements=tuple(sigma for sigma, _ in queue),
+        elements=tuple(elements),
         edges=tuple(edges),
-        residuals=tuple(residual for _, residual in queue),
+        residuals=tuple(residuals),
     )
 
 
+def _right_cover_edges(rs: RootSystem, elements) -> tuple:
+    """(sigma, sigma s_i) for the listed sigma s_i one longer than sigma.
+
+    Covers come from `from_word` on the witness word with s_i appended, in
+    (element, i) order, each end being the listed element.
+    """
+    members = {sigma: sigma for sigma in elements}
+    edges = []
+    for sigma in elements:
+        for i in range(1, rs.rank + 1):
+            tau = members.get(from_word(rs, sigma.word + (i,)))
+            if tau is not None and tau.length > sigma.length:
+                edges.append((sigma, tau))
+    return tuple(edges)
+
+
 def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
-    """Filter the whole group; the oracle `compute` is checked against."""
+    """Filter the whole group; the oracle `compute` is checked against.
+
+    Members come from the membership predicate and edges from
+    `from_word`, so neither shares the cover rule of `compute`.
+    """
     lam = as_weight(lam)
     mu = as_weight(mu)
     residual = _residual_test(rs, lam, mu)
-    reflections = _simple_matrices(rs)
     kept = [(s, d) for s in enumerate_group(rs) if (d := residual(s)) is not None]
     elements = tuple(s for s, _ in kept)
-    members = {s: s for s in elements}
-    edges = []
-    for sigma in elements:
-        for i, reflection in enumerate(reflections):
-            if min(sigma.images[i]) >= 0:
-                tau = members.get(_cover(sigma, i, reflection))
-                if tau is not None:
-                    edges.append((sigma, tau))
     return AlternationSet(
         lam=lam,
         mu=mu,
         elements=elements,
-        edges=tuple(edges),
+        edges=_right_cover_edges(rs, elements),
         residuals=tuple(d for _, d in kept),
     )
 
@@ -297,8 +350,9 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
     offsets = _coroot_pairings(rs, wadd(mu, rs.rho))
     residuals = set(aset.residuals)
     for sigma, d in zip(aset.elements, aset.residuals):
+        images = sigma.images
         for i, reflection in enumerate(reflections):
-            col = sigma.images[i]
+            col = images[i]
             if min(col) < 0:
                 n = steps[i]
                 report.check(
@@ -310,7 +364,7 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
             p = _coroot_pairing(d, reflection) + offsets[i]
             if p < 0:
                 report.check(
-                    d[:i] + (d[i] - p,) + d[i + 1 :] in residuals,
+                    _moved(d, i, p) in residuals,
                     lambda s=sigma, k=i: (
                         f"left cover below {word_text(s.word)} at s{k + 1} escapes the set"
                     ),
@@ -390,6 +444,12 @@ def _read_edges(by_name: dict[str, WeylElement], pairs) -> tuple:
 
 
 def from_json(rs: RootSystem, text: str) -> AlternationSet:
+    """Read what `to_json` wrote; ValueError on a payload it could not have.
+
+    The elements must be distinct members spelled as their witnesses,
+    `size` must count them, and the edges must be the right covers among
+    them in `to_json` order, as `compute_naive` derives them.
+    """
     data = json.loads(text)
     if data["family"] != rs.spec.family or data["rank"] != rs.spec.rank:
         raise ValueError(
@@ -400,11 +460,17 @@ def from_json(rs: RootSystem, text: str) -> AlternationSet:
     mu = as_weight(data["mu"])
     by_name = _read_elements(rs, data["elements"])
     elements = tuple(by_name.values())
+    if data["size"] != len(elements):
+        raise ValueError(f"size {data['size']!r} but {len(elements)} elements are listed")
     residuals = tuple(map(_residual_test(rs, lam, mu), elements))
     if None in residuals:
         name = data["elements"][residuals.index(None)]
         raise ValueError(f"element {name} is outside the alternation set")
     edges = _read_edges(by_name, data["edges"])
+    if edges != _right_cover_edges(rs, elements):
+        raise ValueError(
+            "edges are not the right covers among the listed elements, in order"
+        )
     return AlternationSet(
         lam=lam, mu=mu, elements=elements, edges=edges, residuals=residuals
     )

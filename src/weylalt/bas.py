@@ -312,6 +312,12 @@ def to_json(rs: RootSystem, bas: BasSet) -> str:
 
 
 def from_json(rs: RootSystem, text: str) -> BasSet:
+    """Read what `to_json` wrote; ValueError on a payload it could not have.
+
+    The members must be distinct and spelled as their witnesses, and the
+    dependence edges must be exactly the pairs that are not `independent`,
+    in `to_json` order.
+    """
     data = json.loads(text)
     if data["family"] != rs.spec.family or data["rank"] != rs.spec.rank:
         raise ValueError(
@@ -319,11 +325,23 @@ def from_json(rs: RootSystem, text: str) -> BasSet:
             f"not {rs.spec.family}_{rs.spec.rank}"
         )
     by_name = _read_elements(rs, data["members"])
+    members = tuple(by_name.values())
+    edges = _read_edges(by_name, data["dependence_edges"])
+    dependent = tuple(
+        (members[a], members[b])
+        for a in range(len(members))
+        for b in range(a + 1, len(members))
+        if not independent(rs, members[a], members[b])
+    )
+    if edges != dependent:
+        raise ValueError(
+            "dependence edges are not the pairs of members that are not independent, in order"
+        )
     return BasSet(
         lam=as_weight(data["lambda"]),
         mu=as_weight(data["mu"]),
-        members=tuple(by_name.values()),
-        dependence_edges=_read_edges(by_name, data["dependence_edges"]),
+        members=members,
+        dependence_edges=edges,
     )
 
 

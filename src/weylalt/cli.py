@@ -16,7 +16,6 @@ import json
 import re
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -249,6 +248,9 @@ def _cmd_counts(args) -> int:
         for j in range(i, r + 1)
     ]
     if args.jobs > 1:
+        # Imported here: the pool's modules cost every other command start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             counts = list(pool.map(_count_cell, triples))
     else:

@@ -1,31 +1,30 @@
-"""Weyl group elements as exact integer matrices on the root lattice.
+"""Weyl group elements keyed by the integer vector sigma(2 rho).
 
-An element is stored by its images matrix: column j holds sigma(alpha_{j+1})
-in simple-root coordinates, so two elements are equal exactly when their
-matrices agree.  Each element also carries one reduced word as a witness.
-Words are tuples of 1-based generator indices read as function composition:
-from_word((1, 2)) sends v to s_1(s_2(v)).
+2 rho is regular, so sigma -> sigma(2 rho) is injective: an element is stored
+by that vector in simple-root coordinates, its key, and two elements are equal
+exactly when their keys agree.  Each element also carries one reduced word as
+a witness.  Words are tuples of 1-based generator indices read as function
+composition: from_word((1, 2)) sends v to s_1(s_2(v)).
 
-All arithmetic on elements lives here, as three moves:
+All arithmetic on elements lives here, as two moves on integer vectors:
 
-- the right step sigma -> sigma s_i changes only the columns j with
-  a_ji = <alpha_j, alpha_i^vee> nonzero, and it goes up exactly when
-  sigma(alpha_i) is positive (a root, so its coordinates share one sign);
-- the left step s_i v = v - <v, alpha_i^vee> alpha_i on a weight changes
-  only coordinate i; walking a word for sigma by left steps, last letter
-  first, applies sigma to a weight, which is how `act` works;
+- the left step s_i v = v - <v, alpha_i^vee> alpha_i changes only
+  coordinate i.  Walking a word by left steps, last letter first, applies its
+  product to a weight, which is how `act` works; on a key, the step is the
+  left cover s_i sigma exactly when <sigma(2 rho), alpha_i^vee> > 0, which is
+  how `from_word` tells a reduced word and `enumerate_group` grows the group;
 - the descent rule reads a reduced word off v = sigma(2 rho): the smallest
   i with <v, alpha_i^vee> < 0 is a left descent, and v -> s_i v removes it.
   Repeated until v is dominant, it spells the lexicographically least
   reduced word, whose length is the Coxeter length of sigma.
 
-An element hashes its matrix once, on first use, and every element of one
-rank starts from the same identity matrix.
+No element stores a matrix: `WeylElement.images`, whose column j is
+sigma(alpha_{j+1}), is derived on demand with `act`.
 
 Influences are integer bitmasks, bit i-1 for s_i: the influence of sigma is
 the OR over its witness word, and node i's closed Dynkin neighbourhood is
-the support of the simple-reflection entry the right step already uses.
-Two elements are independent when one's mask ANDs to zero with the other's
+the support of the sparse simple reflection the left step uses.  Two
+elements are independent when one's mask ANDs to zero with the other's
 grown mask, which is how `independent` answers.
 
 >>> rs = build_root_system(RootSystemSpec("A", 3))
@@ -62,7 +61,6 @@ __all__ = [
     "word_text",
 ]
 
-Matrix = tuple[tuple[int, ...], ...]
 Reflection = tuple[tuple[int, int], ...]
 
 #: Largest group `enumerate_group` lists.  Only the exhaustive paths (the
@@ -75,44 +73,38 @@ class GroupSizeError(RuntimeError):
     """Raised when a full group enumeration would exceed MAX_GROUP_ORDER."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class WeylElement:
-    """One group element: images matrix, a reduced-word witness, its length.
+    """One group element: its key sigma(2 rho), a reduced-word witness, its length.
 
-    Equality and hashing look only at the matrix; the witness is whichever
+    Equality and hashing look only at the key; the witness is whichever
     reduced word the constructor saw first, and any two reduced words of the
     same element are interchangeable for everything computed here.
     """
 
-    images: Matrix
+    rs: RootSystem
+    key: tuple[int, ...]
     word: tuple[int, ...]
     length: int
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.images == other.images
-
-    # Set on the first __hash__; a class attribute, so construction stays cheap.
-    _hash = None
+        return self.key == other.key
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.images)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"WeylElement({word_text(self.word)!r})"
 
-
-@lru_cache(maxsize=None)
-def _identity_matrix(rank: int) -> Matrix:
-    """The identity, one shared tuple per rank (at most rootsys.MAX_RANK of them)."""
-    return tuple(
-        tuple(int(m == j) for m in range(rank)) for j in range(rank)
-    )
+    @property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix of sigma: column j is sigma(alpha_{j+1}), computed by `act`."""
+        r = self.rs.rank
+        return tuple(
+            act(self.rs, self, tuple(int(m == j) for m in range(r))) for j in range(r)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -130,15 +122,29 @@ def _simple_matrices(rs: RootSystem) -> tuple[Reflection, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _two_rho(rs: RootSystem) -> tuple[int, ...]:
+    """2 rho, the sum of the positive roots: the key of the identity."""
+    return tuple(int(2 * c) for c in rs.rho)
+
+
 def _coroot_pairing(v, reflection: Reflection) -> int:
     """<v, alpha_i^vee> for v in simple-root coordinates."""
-    return sum(v[j] * a for j, a in reflection)
+    pairing = 0
+    for j, a in reflection:
+        pairing += v[j] * a
+    return pairing
 
 
 def _coroot_pairings(rs: RootSystem, w) -> list:
     """<w, alpha_i^vee> for every i, as an int wherever it is an integer."""
     pairings = [_coroot_pairing(w, reflection) for reflection in _simple_matrices(rs)]
     return [int(p) if p.denominator == 1 else p for p in pairings]
+
+
+def _moved(v: tuple[int, ...], i: int, p: int) -> tuple[int, ...]:
+    """v - p alpha_{i+1}: the left step, with p the pairing it subtracts."""
+    return v[:i] + (v[i] - p,) + v[i + 1 :]
 
 
 def _walk(reflections: tuple[Reflection, ...], word, v, offsets) -> list:
@@ -154,33 +160,14 @@ def _walk(reflections: tuple[Reflection, ...], word, v, offsets) -> list:
     return v
 
 
-def _right_step(images: Matrix, i: int, reflection: Reflection) -> Matrix:
-    """sigma s_{i+1}: column j becomes sigma(alpha_j) - a_ji sigma(alpha_i)."""
-    col = images[i]
-    cols = list(images)
-    for j, a in reflection:
-        cols[j] = tuple([x - a * y for x, y in zip(images[j], col)])
-    return tuple(cols)
-
-
-def _cover(sigma: WeylElement, i: int, reflection: Reflection) -> WeylElement:
-    """The right cover sigma s_{i+1}, for an ascent i (sigma(alpha_{i+1}) positive)."""
-    return WeylElement(
-        images=_right_step(sigma.images, i, reflection),
-        word=sigma.word + (i + 1,),
-        length=sigma.length + 1,
-    )
-
-
-def _least_word(rs: RootSystem, word) -> tuple[int, ...]:
+def _least_word(reflections: tuple[Reflection, ...], v) -> tuple[int, ...]:
     """The descent rule: the lexicographically least reduced word of sigma.
 
-    Walks v = sigma(2 rho) along any word for sigma, then takes the smallest
-    i with <v, alpha_i^vee> < 0 (then s_i sigma < sigma) and replaces v by
-    s_i v, until v is dominant, which happens only at the identity.
+    Starts from v = sigma(2 rho) and takes the smallest i with
+    <v, alpha_i^vee> < 0 (then s_i sigma < sigma) and replaces v by s_i v,
+    until v is dominant, which happens only at the identity.
     """
-    reflections = _simple_matrices(rs)
-    v = _walk(reflections, word, [int(2 * c) for c in rs.rho], (0,) * rs.rank)
+    v = list(v)
     word = []
     i = 0
     while i < len(reflections):
@@ -195,7 +182,7 @@ def _least_word(rs: RootSystem, word) -> tuple[int, ...]:
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(images=_identity_matrix(rs.rank), word=(), length=0)
+    return WeylElement(rs=rs, key=_two_rho(rs), word=(), length=0)
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:
@@ -215,15 +202,17 @@ def from_word(rs: RootSystem, word) -> WeylElement:
         if not isinstance(i, int) or not 1 <= i <= rs.rank:
             raise ValueError(f"generator index {i!r} out of range 1..{rs.rank}")
     reflections = _simple_matrices(rs)
-    images = _identity_matrix(rs.rank)
-    # The word is reduced exactly when every right step along it goes up.
+    key = list(_two_rho(rs))
+    # The word is reduced exactly when every left step along it goes up.
     ascents = 0
-    for i in word:
-        ascents += min(images[i - 1]) >= 0
-        images = _right_step(images, i - 1, reflections[i - 1])
+    for i in reversed(word):
+        i -= 1
+        pairing = _coroot_pairing(key, reflections[i])
+        ascents += pairing > 0
+        key[i] -= pairing
     if ascents < len(word):
-        word = _least_word(rs, word)
-    return WeylElement(images=images, word=word, length=len(word))
+        word = _least_word(reflections, key)
+    return WeylElement(rs=rs, key=tuple(key), word=word, length=len(word))
 
 
 def multiply(rs: RootSystem, *elements: WeylElement) -> WeylElement:
@@ -323,7 +312,12 @@ def group_order(system: RootSystem | RootSystemSpec) -> int:
 def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """Every group element, in breadth-first (length, then word) order.
 
-    Raises GroupSizeError for a group larger than MAX_GROUP_ORDER.
+    Each layer holds the left covers s_i sigma of the one below, found by
+    the sign of <sigma(2 rho), alpha_i^vee>.  Looping over i outside and the
+    layer inside reaches every element first by its lexicographically least
+    reduced word (whose first letter is its smallest left descent), so that
+    word is the witness and the layer comes out sorted by it.  Raises
+    GroupSizeError for a group larger than MAX_GROUP_ORDER.
 
     >>> rs = build_root_system(RootSystemSpec("A", 2))
     >>> len(enumerate_group(rs))
@@ -336,20 +330,21 @@ def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
             f"above the cap of {MAX_GROUP_ORDER}"
         )
     reflections = _simple_matrices(rs)
-    frontier = [identity(rs)]
-    out = list(frontier)
-    seen = set(frontier)
-    while frontier:
-        following = []
-        for sigma in frontier:
-            for i, reflection in enumerate(reflections):
-                if min(sigma.images[i]) >= 0:
-                    tau = _cover(sigma, i, reflection)
-                    if tau not in seen:
-                        seen.add(tau)
-                        following.append(tau)
-        out.extend(following)
-        frontier = following
+    layer = [identity(rs)]
+    out = list(layer)
+    while layer:
+        following = {}
+        for i, reflection in enumerate(reflections):
+            for sigma in layer:
+                pairing = _coroot_pairing(sigma.key, reflection)
+                if pairing > 0:
+                    key = _moved(sigma.key, i, pairing)
+                    if key not in following:
+                        following[key] = WeylElement(
+                            rs=rs, key=key, word=(i + 1,) + sigma.word, length=sigma.length + 1
+                        )
+        layer = list(following.values())
+        out.extend(layer)
     return tuple(out)
 
 

@@ -386,3 +386,55 @@ def test_from_json_rejects_a_spelling_that_is_not_the_witness():
     data["elements"] = ["e", "s2 s2 s2"]
     with pytest.raises(ValueError, match="'s2 s2 s2' is not a reduced word"):
         from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_a_size_that_miscounts_the_elements():
+    rs, data = _a3_payload()
+    data["size"] = 7
+    with pytest.raises(ValueError, match="size 7 but 2 elements are listed"):
+        from_json(rs, json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [["e", "s2"], ["e", "s2"]],  # duplicated
+        [["s2", "e"]],  # downward
+        [],  # a cover left out
+    ],
+    ids=["duplicated", "downward", "missing"],
+)
+def test_from_json_rejects_edges_that_are_not_the_covers(edges):
+    rs, data = _a3_payload()
+    data["edges"] = edges
+    with pytest.raises(ValueError, match="edges are not the right covers"):
+        from_json(rs, json.dumps(data))
+
+
+def _brute_right_covers(rs, aset):
+    """(sigma, tau) with tau = sigma s_i one longer, by trying every pair.
+
+    Ordered by sigma's position and then by i, read off sigma^-1 tau.
+    """
+    found = []
+    for position, sigma in enumerate(aset.elements):
+        inverse = from_word(rs, tuple(reversed(sigma.word)))
+        for tau in aset.elements:
+            if tau.length == sigma.length + 1:
+                step = from_word(rs, inverse.word + tau.word)
+                if step.length == 1:
+                    found.append((position, step.word, sigma, tau))
+    return [(sigma, tau) for *_, sigma, tau in sorted(found, key=lambda f: f[:2])]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5)])
+def test_edges_are_the_right_covers_in_order(family, rank):
+    # compute derives each element's right covers from its left parent; the
+    # reference tries every pair of members one length apart.
+    rs = _rs(family, rank)
+    pairs = [(rs.highest_root, tuple(-c for c in rs.highest_root))]
+    pairs += sample_weight_pairs(rs, 3, seed=0)
+    for lam, mu in pairs:
+        aset = compute(rs, lam, mu)
+        edges = [(a.word, b.word) for a, b in aset.edges]
+        assert edges == [(a.word, b.word) for a, b in _brute_right_covers(rs, aset)]

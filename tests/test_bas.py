@@ -184,6 +184,22 @@ def test_from_json_rejects_a_spelling_that_is_not_the_witness():
         from_json(rs, json.dumps(data))
 
 
+def test_from_json_rejects_an_independent_pair_as_an_edge():
+    rs, _, bas = _a4_setup()
+    data = json.loads(to_json(rs, bas))
+    data["dependence_edges"].insert(0, ["s1", "s3"])
+    with pytest.raises(ValueError, match="dependence edges are not the pairs"):
+        from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_a_missing_dependence_edge():
+    rs, _, bas = _a4_setup()
+    data = json.loads(to_json(rs, bas))
+    del data["dependence_edges"][0]
+    with pytest.raises(ValueError, match="dependence edges are not the pairs"):
+        from_json(rs, json.dumps(data))
+
+
 def test_dot_output_shape():
     rs, _, bas = _a4_setup()
     dot = to_dot(bas)

@@ -1,15 +1,18 @@
 """The names the benchmark's tracer wraps and reads still exist.
 
 `bench/spans.py` patches functions and reads caches of `weylalt` by name,
-and counts covers from each element's `images`.  A rename in the package
-would otherwise show only as a failing traced benchmark run.
+and counts covers from each element's `images`.  A rename in the package,
+or a change in what an attribute it reads means, would otherwise show only
+as a failing or misreporting traced benchmark run.
 """
 
 import importlib
 from pathlib import Path
 
+from weylalt import altset, bas
 from weylalt.altset import compute
-from weylalt.rootsys import RootSystemSpec, build_root_system, zero_weight
+from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root, zero_weight
+from weylalt.weyl import from_word
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,3 +43,35 @@ def test_computed_elements_carry_images():
     for sigma in aset.elements:
         assert len(sigma.images) == rs.rank
         assert all(len(col) == rs.rank for col in sigma.images)
+
+
+def test_traced_cover_count_equals_a_brute_count(monkeypatch):
+    spans = _spans(monkeypatch)
+    rs = build_root_system(RootSystemSpec("A", 3))
+    mu = neg_root(rs, 1, 3)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        altset.compute(rs, rs.highest_root, mu)
+        bas.compute_bas(rs, rs.highest_root, mu)
+        altset.multiplicity(rs, rs.highest_root, zero_weight(3))
+    finally:
+        tracer.stop()
+    asets = [
+        result
+        for index, _, result in tracer.kept
+        if tracer.spans[index][0] == "altset.compute"
+    ]
+    assert len(asets) == 3
+    # A cover sigma s_i is one longer than sigma, whatever `images` holds.
+    brute = sum(
+        from_word(rs, sigma.word + (i,)).length > sigma.length
+        for aset in asets
+        for sigma in aset.elements
+        for i in range(1, rs.rank + 1)
+    )
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["altset.compute.calls"] == 3
+    assert metrics["altset.elements"] == sum(len(aset) for aset in asets)
+    assert metrics["altset.covers_examined"] == brute
+    assert metrics["altset.covers_accepted"] == sum(len(aset.edges) for aset in asets)

@@ -348,3 +348,29 @@ def test_multiply_is_from_word_of_joined_words(family, rank):
         assert product.images == images
         best = least[images]
         assert product.word == (joined if len(best) == len(joined) else best)
+
+
+@pytest.mark.parametrize("family,rank", _KERNEL_SYSTEMS)
+def test_enumeration_witnesses_are_least_words_in_order(family, rank):
+    # The group grows by left covers; the oracle grows words by letters.
+    rs = _rs(family, rank)
+    least = _least_words(rs)
+    group = enumerate_group(rs)
+    assert [_oracle_images(rs, s.word) for s in group] == [s.images for s in group]
+    assert sorted(s.word for s in group) == sorted(least.values())
+    for sigma in group:
+        assert least[sigma.images] == sigma.word
+    assert [s.word for s in group] == sorted(
+        (s.word for s in group), key=lambda w: (len(w), w)
+    )
+
+
+@pytest.mark.parametrize("family,rank", _KERNEL_SYSTEMS)
+def test_key_is_the_image_of_two_rho(family, rank):
+    rs = _rs(family, rank)
+    two_rho = tuple(2 * c for c in rs.rho)
+    group = enumerate_group(rs)
+    for sigma in group:
+        assert sigma.key == act(rs, sigma, two_rho)
+        assert sigma.key == _apply_word(rs, sigma.word, two_rho)
+    assert len({s.key for s in group}) == len(group)
