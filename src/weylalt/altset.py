@@ -323,8 +323,8 @@ def q_multiplicity(rs: RootSystem, lam, mu) -> QPolynomial:
     return _alternating_sum(rs, lam, mu, graded=True)
 
 
-def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
-    """Check the set is closed downward under both weak orders.
+def verify_order_ideal(rs: RootSystem, aset: AlternationSet) -> Report:
+    """Check the given set is closed downward under both weak orders.
 
     Every cover below a member (drop one generator on the right, or on the
     left) must itself be a member, which is to say that its residual is
@@ -339,15 +339,12 @@ def verify_order_ideal(rs: RootSystem, lam, mu) -> Report:
       sigma lies below sigma; for other lambda, the ones `compute` hands to
       the exhaustive filter, the left covers checked are those with p < 0.
     """
-    lam = as_weight(lam)
-    mu = as_weight(mu)
     report = Report(
         title=f"order ideal {rs.spec.family}_{rs.spec.rank}"
     )
-    aset = compute(rs, lam, mu)
     reflections = _simple_matrices(rs)
-    steps = _coroot_pairings(rs, wadd(lam, rs.rho))
-    offsets = _coroot_pairings(rs, wadd(mu, rs.rho))
+    steps = _coroot_pairings(rs, wadd(aset.lam, rs.rho))
+    offsets = _coroot_pairings(rs, wadd(aset.mu, rs.rho))
     residuals = set(aset.residuals)
     for sigma, d in zip(aset.elements, aset.residuals):
         images = sigma.images

@@ -326,8 +326,8 @@ def _sampled_pairs(args):
 def _suite_ideal(args) -> Report:
     report = Report(title="order ideal and oracle agreement")
     for system, lam, mu in _sampled_pairs(args):
-        report.absorb(verify_order_ideal(system, lam, mu))
         fast = compute(system, lam, mu)
+        report.absorb(verify_order_ideal(system, fast))
         naive = compute_naive(system, lam, mu)
         report.check(
             fast.elements == naive.elements,

@@ -10,21 +10,23 @@ reports meaningful.
 The series side is a small exact power-series engine over exponent boxes.
 Everything downstream needs at most three variables (rank, start, end of
 the negated root), truncated near degree 10, so sparse dicts of exponent
-tuples are plenty.
+tuples are plenty.  Polynomials are such dicts, multiplied by `_poly_mul`;
+each series is expanded by one division of integer polynomials whose
+denominator has constant term 1 or -1, visiting the box's cells in
+lexicographic order, so every coefficient is an integer.
 
 >>> fibonacci(6)
 8
 >>> count_neg_simple(6, 3)
 11
 >>> series_expand({1: 1, 2: 1}, {0: 1, 1: -1, 2: -1, 3: -3, 4: -1}, 4).coefficient((4,))
-Fraction(8, 1)
+8
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .altset import compute
@@ -57,8 +59,8 @@ __all__ = [
 DEFAULT_TRUNCATION = 12
 
 #: Largest series expansion, in bytes of estimated memory.  A cell of the
-#: exponent box costs about 400 bytes (its exponent tuple, list and dict slots
-#: and a Fraction), plus 4 bytes per 30 bits of its coefficient.
+#: exponent box costs about 400 bytes (its exponent tuple and dict slot and
+#: an int), plus 4 bytes per 30 bits of its coefficient.
 MAX_SERIES_BYTES = 2**29
 
 #: Leading h^1_r values for r = 1..10; the sequence is catalogued externally
@@ -235,12 +237,12 @@ def verify_recurrences(max_r: int = 9) -> Report:
 
 
 class PowerSeries:
-    """Sparse truncated power series with exact rational coefficients.
+    """A sparse truncated power series with exact integer coefficients.
 
     Exponent tuples index the ordered `variables`; nothing beyond a
-    variable's truncation bound is stored (the bound itself is kept), and
-    arithmetic silently stays inside the box (larger exponents cannot
-    influence smaller ones).
+    variable's truncation bound is stored (the bound itself is kept).  The
+    series is a read-only result: it is built once, by `_divide`, and
+    only read afterwards.
     """
 
     __slots__ = ("variables", "truncation", "coeffs")
@@ -252,14 +254,13 @@ class PowerSeries:
             raise ValueError("one truncation bound per variable is required")
         clean = {}
         for e, c in coeffs.items():
-            value = Fraction(c)
-            if not value:
+            if not c:
                 continue
             if len(e) != len(variables) or any(
                 x < 0 or x > t for x, t in zip(e, truncation)
             ):
                 raise ValueError(f"exponent {e} falls outside the truncation box")
-            clean[tuple(e)] = value
+            clean[tuple(e)] = c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "coeffs", clean)
@@ -267,69 +268,48 @@ class PowerSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
-    def coefficient(self, exponents) -> Fraction:
+    def coefficient(self, exponents) -> int:
         exponents = tuple(exponents)
         if len(exponents) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} exponents, got {len(exponents)}"
             )
-        return self.coeffs.get(exponents, Fraction(0))
+        return self.coeffs.get(exponents, 0)
 
     def terms(self):
         """Coefficients sorted by total degree, then exponents."""
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def _check_aligned(self, other: "PowerSeries") -> None:
-        if self.variables != other.variables or self.truncation != other.truncation:
-            raise ValueError("series live in different variable boxes")
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_aligned(other)
-        merged = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return PowerSeries(self.variables, self.truncation, merged)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_aligned(other)
-        merged = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, Fraction(0)) - c
-        return PowerSeries(self.variables, self.truncation, merged)
-
-    def times_poly(self, poly: dict) -> "PowerSeries":
-        """Multiply by a polynomial, truncating back into the box."""
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            for f, d in poly.items():
-                g = tuple(a + b for a, b in zip(e, f))
-                if all(x <= t for x, t in zip(g, self.truncation)):
-                    out[g] = out.get(g, Fraction(0)) + c * Fraction(d)
-        return PowerSeries(self.variables, self.truncation, out)
-
 
 def _graded_box(truncation):
-    cells = itertools.product(*[range(t + 1) for t in truncation])
-    return sorted(cells, key=lambda e: (sum(e), e))
+    """The box's cells in lexicographic order, so every e - f comes before e."""
+    return itertools.product(*[range(t + 1) for t in truncation])
 
 
 def _divide(numerator: dict, denominator: dict, variables, truncation) -> PowerSeries:
-    """Truncated quotient; the denominator needs a nonzero constant term.
+    """Truncated quotient of integer polynomials, by one pass over the box.
+
+    The denominator's constant term must be 1 or -1, so each coefficient is
+    an integer and nothing is ever divided.  Cells are visited in
+    lexicographic order: for every denominator exponent f other than zero,
+    e - f precedes e, so its coefficient is already known.
 
     Raises ValueError, before expanding, when the expansion's estimated
     memory exceeds MAX_SERIES_BYTES.  Each coefficient is found from those of
     lower total degree, so it grows at most like g**degree, where g is 1 plus
-    the sum of the other denominator terms' sizes over the constant term's;
-    the estimate takes ceil(log2(g)) bits per degree at the box's mean degree.
+    the sum of the other denominator terms' sizes; the estimate takes
+    ceil(log2(g)) bits per degree at the box's mean degree.
     """
     zero = (0,) * len(variables)
-    constant = Fraction(denominator.get(zero, 0))
+    constant = denominator.get(zero, 0)
     if not constant:
         raise ValueError("denominator has zero constant term")
-    den_rest = [
-        (e, Fraction(c)) for e, c in denominator.items() if e != zero and c
-    ]
-    growth = math.ceil(1 + sum(abs(c) for _, c in den_rest) / abs(constant))
+    if constant not in (1, -1):
+        raise ValueError(
+            f"denominator's constant term must be 1 or -1, got {constant}"
+        )
+    den_rest = [(e, c) for e, c in denominator.items() if e != zero and c]
+    growth = 1 + sum(abs(c) for _, c in den_rest)
     width = (growth - 1).bit_length() * sum(truncation) // 2
     size = math.prod(t + 1 for t in truncation) * (400 + 4 * width // 30)
     if size > MAX_SERIES_BYTES:
@@ -338,7 +318,7 @@ def _divide(numerator: dict, denominator: dict, variables, truncation) -> PowerS
         )
     out: dict = {}
     for e in _graded_box(truncation):
-        total = Fraction(numerator.get(e, 0))
+        total = numerator.get(e, 0)
         for f, c in den_rest:
             g = tuple(a - b for a, b in zip(e, f))
             if all(x >= 0 for x in g):
@@ -346,7 +326,7 @@ def _divide(numerator: dict, denominator: dict, variables, truncation) -> PowerS
                 if prev:
                     total -= c * prev
         if total:
-            out[e] = total / constant
+            out[e] = total * constant
     return PowerSeries(variables, truncation, out)
 
 
@@ -368,11 +348,12 @@ def series_expand(numerator: dict, denominator: dict, truncation, variables=("x"
     """Expand a rational function numerator/denominator to a truncated series.
 
     Polynomials are sparse exponent-to-coefficient dicts; univariate input
-    may use bare integer exponents and a bare integer truncation.
+    may use bare integer exponents and a bare integer truncation.  The
+    denominator's constant term must be 1 or -1.
 
     >>> fib = series_expand({0: 1}, {0: 1, 1: -1, 2: -1}, 5)
     >>> [fib.coefficient((n,)) for n in range(6)]
-    [Fraction(1, 1), Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(5, 1), Fraction(8, 1)]
+    [1, 1, 2, 3, 5, 8]
     """
     variables = tuple(variables)
     if isinstance(truncation, int):
@@ -466,24 +447,25 @@ def _substitute_xt(poly2: dict) -> dict:
 def series_grand(max_r: int) -> PowerSeries:
     """The trivariate series whose x^r s^i t^j coefficient is |A_r(hr, -alpha_{i,j})|.
 
-    Assembled as ((1 - x) t H(xt, s) + P(xt, s) - xst/(1 - xst - (xst)^2))
-    divided by t (1 - x - x^2); the t-division is an exact exponent shift,
-    checked rather than assumed.
+    The series is ((1 - x) t H(xt, s) + P(xt, s) - xst/(1 - xst - (xst)^2))
+    divided by t (1 - x - x^2).  The bivariate denominator D(u, s) already
+    holds the factor 1 - us - u^2 s^2, so the bracket is N / D(xt, s) with
+    N = (t - xt) H_num(xt, s) + P_num(xt, s) - xst DEN(xt), and one division
+    of N / t by D(xt, s)(1 - x - x^2) expands the whole series.  The
+    t-division is an exact exponent shift, checked rather than assumed.
     """
-    box = (max_r, max_r, max_r + 1)
-    den = _substitute_xt(_DEN_BIVAR)
-    h_sub = _divide(_substitute_xt(_H_NUM_BIVAR), den, _VARS3, box)
-    p_sub = _divide(_substitute_xt(_P_NUM_BIVAR), den, _VARS3, box)
-    term_h = h_sub.times_poly({(0, 0, 1): 1, (1, 0, 1): -1})
-    term_tail = _divide(
-        {(1, 1, 1): -1},
-        {(0, 0, 0): 1, (1, 1, 1): -1, (2, 2, 2): -1},
-        _VARS3,
-        box,
-    )
-    bracket = term_h + p_sub + term_tail
+    numerator: dict = {}
+    for poly in (
+        _poly_mul({(0, 0, 1): 1, (1, 0, 1): -1}, _substitute_xt(_H_NUM_BIVAR)),
+        _substitute_xt(_P_NUM_BIVAR),
+        {(k + 1, 1, k + 1): -c for k, c in _DEN.items()},
+    ):
+        for e, c in poly.items():
+            numerator[e] = numerator.get(e, 0) + c
     shifted: dict = {}
-    for e, c in bracket.coeffs.items():
+    for e, c in numerator.items():
+        if not c:
+            continue
         if e[2] == 0:
             raise ArithmeticError(
                 f"combined numerator has a t-free term at {e}; cannot divide by t"
@@ -491,7 +473,7 @@ def series_grand(max_r: int) -> PowerSeries:
         shifted[(e[0], e[1], e[2] - 1)] = c
     return _divide(
         shifted,
-        {(0, 0, 0): 1, (1, 0, 0): -1, (2, 0, 0): -1},
+        _poly_mul(_substitute_xt(_DEN_BIVAR), {(0, 0, 0): 1, (1, 0, 0): -1, (2, 0, 0): -1}),
         _VARS3,
         (max_r, max_r, max_r),
     )

@@ -317,7 +317,9 @@ def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     layer inside reaches every element first by its lexicographically least
     reduced word (whose first letter is its smallest left descent), so that
     word is the witness and the layer comes out sorted by it.  Raises
-    GroupSizeError for a group larger than MAX_GROUP_ORDER.
+    GroupSizeError for a group larger than MAX_GROUP_ORDER.  The group of
+    the last root system asked for is kept, so a sweep over many weight
+    pairs of one system enumerates it once.
 
     >>> rs = build_root_system(RootSystemSpec("A", 2))
     >>> len(enumerate_group(rs))
@@ -329,6 +331,11 @@ def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
             f"Weyl group of {rs.spec.family}_{rs.spec.rank} has {order} elements, "
             f"above the cap of {MAX_GROUP_ORDER}"
         )
+    return _group(rs)
+
+
+@lru_cache(maxsize=1)
+def _group(rs: RootSystem) -> tuple[WeylElement, ...]:
     reflections = _simple_matrices(rs)
     layer = [identity(rs)]
     out = list(layer)

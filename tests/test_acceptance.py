@@ -136,7 +136,7 @@ def test_criterion_06_generating_functions_match_tables():
 
 def test_criterion_07_order_ideal_closures():
     for system, lam, mu in _criterion_pairs():
-        report = verify_order_ideal(system, lam, mu)
+        report = verify_order_ideal(system, compute(system, lam, mu))
         assert report.ok, report.failures
     print("PASS criterion 07: both weak-order closures on all sweep pairs")
 

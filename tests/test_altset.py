@@ -134,7 +134,7 @@ def test_non_dominant_lambda_falls_back_with_warning():
 def test_order_ideal_and_subword_closure_reports():
     rs = _rs("A", 4)
     mu = tuple(-c for c in rs.highest_root)
-    ideal = verify_order_ideal(rs, rs.highest_root, mu)
+    ideal = verify_order_ideal(rs, compute(rs, rs.highest_root, mu))
     assert ideal.ok and ideal.checked > 0
     # Every consecutive subword of every witness word lands in the set.
     aset = compute(rs, rs.highest_root, mu)
@@ -148,7 +148,7 @@ def test_order_ideal_and_subword_closure_reports():
     escaped = [word_text(w) for w in pieces if from_word(rs, w) not in aset]
     assert escaped == []
     # Empty sets pass vacuously.
-    empty = verify_order_ideal(rs, zero_weight(4), (10, 10, 10, 10))
+    empty = verify_order_ideal(rs, compute(rs, zero_weight(4), (10, 10, 10, 10)))
     assert empty.ok
 
 
@@ -158,26 +158,22 @@ def test_order_ideal_and_subword_closure_reports():
 def test_order_ideal_check_counts_at_highest_root(family, rank, checked):
     rs = _rs(family, rank)
     top = rs.highest_root
-    report = verify_order_ideal(rs, top, tuple(-c for c in top))
+    report = verify_order_ideal(rs, compute(rs, top, tuple(-c for c in top)))
     assert report.ok
     assert report.checked == checked
 
 
-def test_order_ideal_report_catches_a_hole(monkeypatch):
+def test_order_ideal_report_catches_a_hole():
     rs = _rs("A", 4)
     top = rs.highest_root
     full = compute(rs, top, tuple(-c for c in top))
     hole = next(k for k, s in enumerate(full.elements) if s.length == 1)
-
-    def holed(*args):
-        return dataclasses.replace(
-            full,
-            elements=full.elements[:hole] + full.elements[hole + 1 :],
-            residuals=full.residuals[:hole] + full.residuals[hole + 1 :],
-        )
-
-    monkeypatch.setattr(altset, "compute", holed)
-    report = verify_order_ideal(rs, top, tuple(-c for c in top))
+    holed = dataclasses.replace(
+        full,
+        elements=full.elements[:hole] + full.elements[hole + 1 :],
+        residuals=full.residuals[:hole] + full.residuals[hole + 1 :],
+    )
+    report = verify_order_ideal(rs, holed)
     assert not report.ok
     assert any("escapes the set" in f for f in report.failures)
 
@@ -324,7 +320,7 @@ def test_property_search_equals_oracle(family, rank, data):
     assert {(a.word, b.word) for a, b in fast.edges} == {
         (a.word, b.word) for a, b in slow.edges
     }
-    assert verify_order_ideal(rs, lam, mu).ok
+    assert verify_order_ideal(rs, compute(rs, lam, mu)).ok
 
 
 @pytest.mark.parametrize("family,rank", _PROPERTY_SYSTEMS)

@@ -9,7 +9,7 @@ as a failing or misreporting traced benchmark run.
 import importlib
 from pathlib import Path
 
-from weylalt import altset, bas
+from weylalt import altset, bas, enumeration
 from weylalt.altset import compute
 from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root, zero_weight
 from weylalt.weyl import from_word
@@ -75,3 +75,17 @@ def test_traced_cover_count_equals_a_brute_count(monkeypatch):
     assert metrics["altset.elements"] == sum(len(aset) for aset in asets)
     assert metrics["altset.covers_examined"] == brute
     assert metrics["altset.covers_accepted"] == sum(len(aset.edges) for aset in asets)
+
+
+def test_traced_series_time_is_reported(monkeypatch):
+    # A series builder that stopped being called by its traced name would
+    # leave `enumeration.series.s` at 0 without any other sign.
+    spans = _spans(monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        enumeration.series_grand(4)
+        enumeration.series_h(1, 6)
+    finally:
+        tracer.stop()
+    assert spans.layer_metrics(tracer)["enumeration.series.s"] > 0

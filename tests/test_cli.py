@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, and output contracts."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -262,6 +263,47 @@ def test_gf_grand_json(capsys):
     cells = {tuple(t["exponents"]): t["value"] for t in payload["terms"]}
     assert cells[(4, 1, 4)] == 11
     assert cells[(1, 1, 1)] == 1
+
+
+# sha256 of stdout, recorded while the series were still expanded over
+# Fractions by four chained divisions.
+_PINNED_SERIES = {
+    (("gf", "--series", "p", "--i", "2"), "text"):
+        "c2cea1d9d140bb69d3a33f4906fb287f206022ca016521afb7f464e94e641b4a",
+    (("gf", "--series", "p", "--i", "2"), "json"):
+        "c6904a103e6713486a7b0e9d068806f8ef29f4ea157ca20a5a870f52cc78a24c",
+    (("gf", "--series", "h", "--i", "3", "--max-degree", "20"), "text"):
+        "7fb60f4075a9b75349373ebab9b7676587f90ccdc656b141228dcdba9142162f",
+    (("gf", "--series", "h", "--i", "3", "--max-degree", "20"), "json"):
+        "ddb218c59a5f084f5c782e4c8ff9f674a90105e5ff158613908181f4be09bab5",
+    (("gf", "--series", "p-bivariate", "--max-degree", "9"), "text"):
+        "26c7b73e7953d4103556a22a0f860465ffce4442f45685ee83e4ffed2a028921",
+    (("gf", "--series", "p-bivariate", "--max-degree", "9"), "json"):
+        "4517bb7f325015c99c1aa290e906f3752eb8a3880792cc5b69a5ddeadfd1e60c",
+    (("gf", "--series", "h-bivariate"), "text"):
+        "9ec9451587323c6a855a015fb1cc749a46515262acd0719ff3012f0eb099666f",
+    (("gf", "--series", "h-bivariate"), "json"):
+        "ab987ade4368f7148a665c4021c0ab6118c1471c97e1a556469967840060981d",
+    (("gf", "--series", "grand"), "text"):
+        "25ee17aa43935caa218325df23ba88c8c5b66b71df311e5eace8e7ce7c105f78",
+    (("gf", "--series", "grand"), "json"):
+        "467fc10526e287468a6faefa380f51be3a4bd0657158debede647f3061620ed5",
+}
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(_PINNED_SERIES))
+def test_gf_output_is_pinned(capsys, argv, fmt):
+    code, out, err = _run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SERIES[(argv, fmt)]
+
+
+def test_counts_output_is_pinned(capsys):
+    code, out, err = _run(capsys, "counts", "--max-rank", "6")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dda52fdfe8ba7cf35f3c99316537b98655c897af1e9c61e209a86ae9563e07df"
+    )
 
 
 @pytest.mark.parametrize(
