@@ -7,17 +7,21 @@ lambda the set is a lower ideal in both weak Bruhat orders, so it can be
 grown from the identity by following cover edges and never enumerating the
 full group.  `compute` does exactly that with left covers s_j sigma, which
 move only coordinate j of the integer residual d(sigma) = sigma(lambda +
-rho) - mu - rho, and it records the right-cover edges inside the set, which
-it derives from each element's left parent; `compute_naive` filters a full
-enumeration with the membership predicate as an oracle, and takes its
-edges from `from_word`.
+rho) - mu - rho; `compute_naive` filters a full enumeration with the
+membership predicate as an oracle.
+
+One rule finds right covers.  sigma s_i = (s_i sigma^-1)^-1, so the right
+covers of sigma are the left covers of sigma^-1, read off the inverse key
+sigma^-1(2 rho) by the left step.  A set's right-cover edges are derived
+from its elements by that rule on first read, and the closure check finds
+the covers below a member by the same signs, so neither the search nor the
+check keeps any cover state.
 
 The set carries each member's residual beside it.  One predicate maps an
 element to its residual, or to None outside the set, by walking the
 element's witness word from d(e) = lambda - mu with left steps; membership,
 the oracle and deserialization use it.  Multiplicities read the Kostant counts
-of the carried residuals, and the closure check looks the covers below a
-member up among them.
+of the carried residuals.
 
 >>> rs = build_root_system(RootSystemSpec("A", 3))
 >>> aset = compute(rs, rs.highest_root, zero_weight(3))
@@ -51,6 +55,7 @@ from .weyl import (
     WeylElement,
     _coroot_pairing,
     _coroot_pairings,
+    _inverse_key,
     _moved,
     _simple_matrices,
     _walk,
@@ -78,29 +83,37 @@ __all__ = [
 
 #: Largest alternation set `compute` grows, in bytes of estimated memory.  An
 #: element is budgeted 1024 + 64 * rank bytes: its object, key sigma(2 rho),
-#: word, residual and edges, plus its share of the two layers of cover lists
-#: the search holds at once.  Peak RSS measured 835 to 1090 bytes per element
-#: of (highest root, -highest root) sets at ranks 14 to 40 in CPython 3.11
-#: (A_14, A_15 whole; B_15, D_25, C_40 up to the budget); the rest is room
-#: for entries too large for the small-int cache.
+#: word and residual, plus its share of the right-cover edges that `to_json`
+#: and `to_dot` derive afterwards.  On the (highest root, -highest root) sets
+#: of A_14 and A_15 in CPython 3.11, peak RSS measured 504 and 512 bytes per
+#: element for `compute` alone, and 1083 and 1096 with the edges derived too
+#: (the inverse keys and the edge pairs); the rest is room for entries too
+#: large for the small-int cache.
 MAX_SET_BYTES = 2**28
 
 
 @dataclass(frozen=True)
 class AlternationSet:
-    """The computed set, its weights, and the right-cover edges inside it.
+    """The computed set, its weights, and each member's residual.
 
     Elements are in breadth-first order (by length, then lexicographically
-    by witness word); edges run upward from each element to the covers that
-    stayed inside the set.  residuals[k] is the integer residual
+    by witness word); residuals[k] is the integer residual
     elements[k](lambda + rho) - mu - rho.
     """
 
     lam: Weight
     mu: Weight
     elements: tuple[WeylElement, ...]
-    edges: tuple[tuple[WeylElement, WeylElement], ...]
     residuals: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[WeylElement, WeylElement], ...]:
+        """The right-cover edges inside the set, derived on first read.
+
+        They run upward from each element to its covers sigma s_i that are
+        members, in (element, i) order.
+        """
+        return _right_cover_edges(self.elements)
 
     @cached_property
     def _members(self) -> frozenset:
@@ -165,17 +178,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     layer dedupes it; looping over j outside and the layer inside reaches
     each element first by its lexicographically least reduced word, as
     `enumerate_group` does, and the set is a lower ideal of the left weak
-    order, so no member is missed.
-
-    The right-cover edges come from the left parent, with no matrix.  The
-    identity's right covers are its left covers.  For tau = s_j sigma they
-    are s_j c for each right cover c = sigma s_i of sigma in the set on
-    which s_j goes up and stays in the set.  Nothing is missed: a right
-    descent of sigma stays one of tau, and if tau s_i is in the set, so is
-    sigma s_i, which lies below tau s_i = s_j sigma s_i in the left weak
-    order.  A layer's covers are looked up once the layer above exists, so
-    they share its entries, and they are dropped one layer later; the edges
-    come out in (element, i) order.  Raises ValueError as soon as the set's
+    order, so no member is missed.  Raises ValueError as soon as the set's
     estimated memory passes MAX_SET_BYTES.
     """
     lam = as_weight(lam)
@@ -190,7 +193,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
         return compute_naive(rs, lam, mu)
     start_residual = wsub(lam, mu)
     if any(c < 0 or c.denominator != 1 for c in start_residual):
-        return AlternationSet(lam=lam, mu=mu, elements=(), edges=(), residuals=())
+        return AlternationSet(lam=lam, mu=mu, elements=(), residuals=())
     r = rs.rank
     reflections = _simple_matrices(rs)
     per_element = 1024 + 64 * r
@@ -198,17 +201,15 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     start = tuple(map(int, start_residual))
     # o_j = <mu + rho, alpha_j^vee> = n_j - <lambda - mu, alpha_j^vee>, in ints.
     offsets = [n - _coroot_pairing(start, f) for n, f in zip(steps, reflections)]
-    # One layer, residual -> (element, residual, left parent's residual, j).
-    layer = {start: (identity(rs), start, None, None)}
-    elements = [layer[start][0]]
+    # One layer, residual -> element.
+    layer = {start: identity(rs)}
+    elements = [layer[start]]
     residuals = [start]
-    edges = []
-    parent_covers = {}
     while layer:
         following = {}
         for j, reflection in enumerate(reflections):
             o = offsets[j]
-            for d, (sigma, _, _, _) in layer.items():
+            for d, sigma in layer.items():
                 p = _coroot_pairing(d, reflection) + o
                 if p <= 0 or d[j] < p:
                     continue
@@ -222,7 +223,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
                     word=(j + 1,) + sigma.word,
                     length=sigma.length + 1,
                 )
-                following[grown] = (tau, grown, d, j)
+                following[grown] = tau
                 elements.append(tau)
                 residuals.append(grown)
                 if len(elements) > limit:
@@ -231,65 +232,50 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
                         f"budget of {MAX_SET_BYTES} bytes (~{per_element} per element "
                         f"at rank {r})"
                     )
-        # Right covers of the layer, as entries of the next one.
-        covers = {}
-        for d, (sigma, _, parent, j) in layer.items():
-            if parent is None:
-                # The identity's right covers are its left covers, all of layer 1.
-                found = list(following.values())
-            else:
-                reflection, o = reflections[j], offsets[j]
-                found = []
-                for entry in parent_covers[parent]:
-                    c = entry[1]
-                    q = _coroot_pairing(c, reflection) + o
-                    if 0 < q <= c[j]:
-                        found.append(following[_moved(c, j, q)])
-            covers[d] = found
-            edges.extend((sigma, entry[0]) for entry in found)
-        parent_covers = covers
         layer = following
     return AlternationSet(
-        lam=lam,
-        mu=mu,
-        elements=tuple(elements),
-        edges=tuple(edges),
-        residuals=tuple(residuals),
+        lam=lam, mu=mu, elements=tuple(elements), residuals=tuple(residuals)
     )
 
 
-def _right_cover_edges(rs: RootSystem, elements) -> tuple:
-    """(sigma, sigma s_i) for the listed sigma s_i one longer than sigma.
+def _right_cover_edges(elements) -> tuple:
+    """(sigma, sigma s_i) for each listed sigma s_i that covers sigma.
 
-    Covers come from `from_word` on the witness word with s_i appended, in
-    (element, i) order, each end being the listed element.
+    The one right-cover rule: sigma s_i = (s_i sigma^-1)^-1 covers sigma
+    exactly when <v, alpha_i^vee> > 0 for the inverse key v = sigma^-1(2 rho),
+    and its inverse key is then the left step of v, which is looked up among
+    the members' inverse keys.  Edges come out in (element, i) order, each
+    end being the listed element.
     """
-    members = {sigma: sigma for sigma in elements}
+    if not elements:
+        return ()
+    reflections = _simple_matrices(elements[0].rs)
+    members = {_inverse_key(sigma): sigma for sigma in elements}
     edges = []
-    for sigma in elements:
-        for i in range(1, rs.rank + 1):
-            tau = members.get(from_word(rs, sigma.word + (i,)))
-            if tau is not None and tau.length > sigma.length:
-                edges.append((sigma, tau))
+    for v, sigma in members.items():
+        for i, reflection in enumerate(reflections):
+            p = _coroot_pairing(v, reflection)
+            if p > 0:
+                tau = members.get(_moved(v, i, p))
+                if tau is not None:
+                    edges.append((sigma, tau))
     return tuple(edges)
 
 
 def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
     """Filter the whole group; the oracle `compute` is checked against.
 
-    Members come from the membership predicate and edges from
-    `from_word`, so neither shares the cover rule of `compute`.
+    Members come from the membership predicate, so they share nothing with
+    the cover rule of `compute`.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
     residual = _residual_test(rs, lam, mu)
     kept = [(s, d) for s in enumerate_group(rs) if (d := residual(s)) is not None]
-    elements = tuple(s for s, _ in kept)
     return AlternationSet(
         lam=lam,
         mu=mu,
-        elements=elements,
-        edges=_right_cover_edges(rs, elements),
+        elements=tuple(s for s, _ in kept),
         residuals=tuple(d for _, d in kept),
     )
 
@@ -324,44 +310,39 @@ def q_multiplicity(rs: RootSystem, lam, mu) -> QPolynomial:
 
 
 def verify_order_ideal(rs: RootSystem, aset: AlternationSet) -> Report:
-    """Check the given set is closed downward under both weak orders.
+    """Check the given set's elements are closed downward in both weak orders.
 
     Every cover below a member (drop one generator on the right, or on the
-    left) must itself be a member, which is to say that its residual is
-    among the set's residuals.  With d the residual of sigma and
-    n_i = <lambda + rho, alpha_i^vee>:
+    left) must itself be a member.  Both are read off keys by the left step:
 
-    - sigma s_i lies below sigma when sigma(alpha_i) is negative, and its
-      residual is d - n_i sigma(alpha_i);
-    - s_i sigma has the residual d - p alpha_i, with
-      p = <sigma(lambda + rho), alpha_i^vee> = <d + mu + rho, alpha_i^vee>.
-      For lambda + rho regular dominant, p is negative exactly when s_i
-      sigma lies below sigma; for other lambda, the ones `compute` hands to
-      the exhaustive filter, the left covers checked are those with p < 0.
+    - s_i sigma lies below sigma when <sigma(2 rho), alpha_i^vee> < 0, and
+      its key is the left step of sigma's key;
+    - sigma s_i = (s_i sigma^-1)^-1 lies below sigma when
+      <sigma^-1(2 rho), alpha_i^vee> < 0, and its inverse key is the left
+      step of sigma's inverse key.
     """
     report = Report(
         title=f"order ideal {rs.spec.family}_{rs.spec.rank}"
     )
     reflections = _simple_matrices(rs)
-    steps = _coroot_pairings(rs, wadd(aset.lam, rs.rho))
-    offsets = _coroot_pairings(rs, wadd(aset.mu, rs.rho))
-    residuals = set(aset.residuals)
-    for sigma, d in zip(aset.elements, aset.residuals):
-        images = sigma.images
+    inverse_keys = [_inverse_key(sigma) for sigma in aset.elements]
+    keys = {sigma.key for sigma in aset.elements}
+    inverses = set(inverse_keys)
+    for sigma, v in zip(aset.elements, inverse_keys):
+        key = sigma.key
         for i, reflection in enumerate(reflections):
-            col = images[i]
-            if min(col) < 0:
-                n = steps[i]
+            q = _coroot_pairing(v, reflection)
+            if q < 0:
                 report.check(
-                    tuple([a - n * b for a, b in zip(d, col)]) in residuals,
+                    _moved(v, i, q) in inverses,
                     lambda s=sigma, k=i: (
                         f"right cover below {word_text(s.word)} at s{k + 1} escapes the set"
                     ),
                 )
-            p = _coroot_pairing(d, reflection) + offsets[i]
+            p = _coroot_pairing(key, reflection)
             if p < 0:
                 report.check(
-                    _moved(d, i, p) in residuals,
+                    _moved(key, i, p) in keys,
                     lambda s=sigma, k=i: (
                         f"left cover below {word_text(s.word)} at s{k + 1} escapes the set"
                     ),
@@ -445,7 +426,7 @@ def from_json(rs: RootSystem, text: str) -> AlternationSet:
 
     The elements must be distinct members spelled as their witnesses,
     `size` must count them, and the edges must be the right covers among
-    them in `to_json` order, as `compute_naive` derives them.
+    them in `to_json` order, as the loaded set derives them.
     """
     data = json.loads(text)
     if data["family"] != rs.spec.family or data["rank"] != rs.spec.rank:
@@ -463,18 +444,16 @@ def from_json(rs: RootSystem, text: str) -> AlternationSet:
     if None in residuals:
         name = data["elements"][residuals.index(None)]
         raise ValueError(f"element {name} is outside the alternation set")
-    edges = _read_edges(by_name, data["edges"])
-    if edges != _right_cover_edges(rs, elements):
+    aset = AlternationSet(lam=lam, mu=mu, elements=elements, residuals=residuals)
+    if _read_edges(by_name, data["edges"]) != aset.edges:
         raise ValueError(
             "edges are not the right covers among the listed elements, in order"
         )
-    return AlternationSet(
-        lam=lam, mu=mu, elements=elements, edges=edges, residuals=residuals
-    )
+    return aset
 
 
 def to_dot(aset: AlternationSet) -> str:
-    """Hasse diagram of the recorded cover edges, drawn bottom to top."""
+    """Hasse diagram of the set's right-cover edges, drawn bottom to top."""
     lines = ["digraph alternation_set {", "  rankdir=BT;"]
     for sigma in aset.elements:
         lines.append(f'  "{word_text(sigma.word)}";')

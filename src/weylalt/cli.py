@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 import warnings
@@ -247,11 +248,14 @@ def _cmd_counts(args) -> int:
         for i in range(1, r + 1)
         for j in range(i, r + 1)
     ]
-    if args.jobs > 1:
+    # The pool forks all its workers at the first submit, so it gets no more
+    # than there are CPUs to run them.
+    workers = min(args.jobs, len(os.sched_getaffinity(0)))
+    if workers > 1:
         # Imported here: the pool's modules cost every other command start-up time.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_count_cell, triples))
     else:
         counts = [_count_cell(t) for t in triples]

@@ -320,11 +320,11 @@ def _divide(numerator: dict, denominator: dict, variables, truncation) -> PowerS
     for e in _graded_box(truncation):
         total = numerator.get(e, 0)
         for f, c in den_rest:
-            g = tuple(a - b for a, b in zip(e, f))
-            if all(x >= 0 for x in g):
-                prev = out.get(g)
-                if prev:
-                    total -= c * prev
+            # Every key of out is a cell of the box, so a g with a negative
+            # entry is simply absent.
+            prev = out.get(tuple(a - b for a, b in zip(e, f)))
+            if prev:
+                total -= c * prev
         if total:
             out[e] = total * constant
     return PowerSeries(variables, truncation, out)

@@ -12,14 +12,19 @@ All arithmetic on elements lives here, as two moves on integer vectors:
   coordinate i.  Walking a word by left steps, last letter first, applies its
   product to a weight, which is how `act` works; on a key, the step is the
   left cover s_i sigma exactly when <sigma(2 rho), alpha_i^vee> > 0, which is
-  how `from_word` tells a reduced word and `enumerate_group` grows the group;
+  how `from_word` tells a reduced word and `enumerate_group` grows the group.
+  Right covers are the same step on the inverse key sigma^-1(2 rho), since
+  sigma s_i = (s_i sigma^-1)^-1 (`_inverse_key`);
 - the descent rule reads a reduced word off v = sigma(2 rho): the smallest
   i with <v, alpha_i^vee> < 0 is a left descent, and v -> s_i v removes it.
   Repeated until v is dominant, it spells the lexicographically least
   reduced word, whose length is the Coxeter length of sigma.
 
 No element stores a matrix: `WeylElement.images`, whose column j is
-sigma(alpha_{j+1}), is derived on demand with `act`.
+sigma(alpha_{j+1}), is derived on demand with `act`.  Nothing in the package
+reads it, since covers come from keys and inverse keys; it stays for the
+benchmark's cover count and for tests.  `act` stays as the documented way to
+apply an element to a weight, although `images` is its only caller here.
 
 Influences are integer bitmasks, bit i-1 for s_i: the influence of sigma is
 the OR over its witness word, and node i's closed Dynkin neighbourhood is
@@ -158,6 +163,18 @@ def _walk(reflections: tuple[Reflection, ...], word, v, offsets) -> list:
         i -= 1
         v[i] -= _coroot_pairing(v, reflections[i]) + offsets[i]
     return v
+
+
+def _inverse_key(sigma: WeylElement) -> tuple[int, ...]:
+    """sigma^-1(2 rho): 2 rho walked by left steps along the reversed witness.
+
+    sigma s_i = (s_i sigma^-1)^-1, so the left step on this key is the right
+    cover sigma s_i exactly when <sigma^-1(2 rho), alpha_i^vee> > 0, and it
+    lies below sigma when the pairing is negative.
+    """
+    rs = sigma.rs
+    word = sigma.word[::-1]
+    return tuple(_walk(_simple_matrices(rs), word, _two_rho(rs), (0,) * rs.rank))
 
 
 def _least_word(reflections: tuple[Reflection, ...], v) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -108,9 +109,9 @@ def test_pruned_search_equals_full_filter(family, rank):
         fast = compute(rs, lam, mu)
         slow = compute_naive(rs, lam, mu)
         assert fast.elements == slow.elements
-        assert sorted(fast.edges, key=lambda e: (e[0].word, e[1].word)) == sorted(
-            slow.edges, key=lambda e: (e[0].word, e[1].word)
-        )
+        # Both sides derive edges by one rule, so each meets the from_word oracle.
+        for aset in (fast, slow):
+            assert _edge_words(aset.edges) == _edge_words(_brute_right_covers(rs, aset))
 
 
 def test_cover_edges_recorded_once_each():
@@ -176,6 +177,32 @@ def test_order_ideal_report_catches_a_hole():
     report = verify_order_ideal(rs, holed)
     assert not report.ok
     assert any("escapes the set" in f for f in report.failures)
+
+
+@pytest.mark.parametrize(
+    "words,failure",
+    [
+        ([(), (1,), (2, 1)], "right cover below s2 s1 at s1 escapes the set"),
+        ([(), (1,), (1, 2)], "left cover below s1 s2 at s1 escapes the set"),
+    ],
+    ids=["right", "left"],
+)
+def test_order_ideal_report_names_the_missing_cover(words, failure):
+    # The closure check reads only the elements: no weights, no residuals.
+    rs = _rs("A", 3)
+    elements = tuple(from_word(rs, w) for w in words)
+    zero = zero_weight(3)
+    aset = altset.AlternationSet(lam=zero, mu=zero, elements=elements, residuals=())
+    assert verify_order_ideal(rs, aset).failures == [failure]
+
+
+def test_edges_are_derived_on_first_read_and_kept():
+    rs = _rs("A", 4)
+    aset = compute(rs, rs.highest_root, tuple(-c for c in rs.highest_root))
+    assert "edges" not in vars(aset)
+    assert "edges" not in {f.name for f in dataclasses.fields(altset.AlternationSet)}
+    assert aset.edges is aset.edges
+    assert aset.edges
 
 
 def test_multiplicity_values():
@@ -316,10 +343,8 @@ def test_property_search_equals_oracle(family, rank, data):
     assert fast.residuals == slow.residuals
     assert [s.word for s in fast] == [s.word for s in slow]
     assert [s.length for s in fast] == [s.length for s in slow]
-    assert len(fast.edges) == len(slow.edges)
-    assert {(a.word, b.word) for a, b in fast.edges} == {
-        (a.word, b.word) for a, b in slow.edges
-    }
+    for aset in (fast, slow):
+        assert _edge_words(aset.edges) == _edge_words(_brute_right_covers(rs, aset))
     assert verify_order_ideal(rs, compute(rs, lam, mu)).ok
 
 
@@ -423,14 +448,27 @@ def _brute_right_covers(rs, aset):
     return [(sigma, tau) for *_, sigma, tau in sorted(found, key=lambda f: f[:2])]
 
 
+def _edge_words(edges):
+    return [(a.word, b.word) for a, b in edges]
+
+
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5)])
 def test_edges_are_the_right_covers_in_order(family, rank):
-    # compute derives each element's right covers from its left parent; the
-    # reference tries every pair of members one length apart.
+    # Edges come from the inverse keys; the reference tries every pair of
+    # members one length apart with from_word.
     rs = _rs(family, rank)
-    pairs = [(rs.highest_root, tuple(-c for c in rs.highest_root))]
+    top = rs.highest_root
+    pairs = [(top, tuple(-c for c in top))]
     pairs += sample_weight_pairs(rs, 3, seed=0)
+    # Non-dominant lambda = -alpha_1: the exhaustive fallback's set, which
+    # need not be an ideal; then a set that is empty.
+    lam = (-1,) + (0,) * (rank - 1)
+    pairs += [(lam, wsub(lam, top)), (zero_weight(rank), (10,) * rank)]
+    sizes = []
     for lam, mu in pairs:
-        aset = compute(rs, lam, mu)
-        edges = [(a.word, b.word) for a, b in aset.edges]
-        assert edges == [(a.word, b.word) for a, b in _brute_right_covers(rs, aset)]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "lambda is not dominant integral")
+            aset = compute(rs, lam, mu)
+        sizes.append(len(aset))
+        assert _edge_words(aset.edges) == _edge_words(_brute_right_covers(rs, aset))
+    assert sizes[-2] > 1 and sizes[-1] == 0

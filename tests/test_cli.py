@@ -1,9 +1,11 @@
 """Command-line interface: formats, exit codes, and output contracts."""
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import time
 
@@ -234,6 +236,32 @@ def test_counts_jobs_do_not_change_output(capsys):
     assert serial == parallel
     code, _, _ = _run(capsys, "counts", "--jobs", "0")
     assert code == 2
+
+
+def test_counts_pool_is_capped_at_the_cpu_count(capsys, monkeypatch):
+    # A stand-in pool records its size and maps in this process, so no
+    # worker is ever started.
+    sizes = []
+
+    class _SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    _, serial, _ = _run(capsys, "counts", "--max-rank", "3", "--jobs", "1")
+    code, capped, _ = _run(capsys, "counts", "--max-rank", "3", "--jobs", "1000000")
+    assert code == 0 and capped == serial
+    cpus = len(os.sched_getaffinity(0))
+    assert sizes == ([cpus] if cpus > 1 else [])
 
 
 def test_gf_text_output(capsys):
