@@ -1,5 +1,6 @@
 """Partition counting against a brute-force multiset oracle."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from math import comb
 
 import pytest
 
+from weylalt import kostant
 from weylalt.altset import (
     compute_naive,
     multiplicity,
@@ -61,6 +63,38 @@ def _oracle_count_by_parts(roots, target):
     return tally
 
 
+def _recursive_counts(roots, targets):
+    """{parts: count} of every target, by a memoized recursion over the roots.
+
+    P_j(x) is the sum over k >= 0 of q^k P_{j+1}(x - k beta_j), where P_j
+    counts with roots j onward only and P past the last root is 1 at zero.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def count(j, x):
+        if j == len(roots):
+            return {} if any(x) else {0: 1}
+        out = {}
+        k = 0
+        while all(c >= 0 for c in x):
+            for parts, n in count(j + 1, x).items():
+                out[parts + k] = out.get(parts + k, 0) + n
+            x = tuple(c - b for c, b in zip(x, roots[j]))
+            k += 1
+        return out
+
+    return [count(0, tuple(target)) for target in targets]
+
+
+def _assert_counts_match_recursion(rs, batch):
+    expected = _recursive_counts(rs.positive_roots, batch)
+    assert kostant_counts(rs, batch) == [sum(e.values()) for e in expected]
+    assert kostant_counts(rs, batch, graded=True) == [
+        QPolynomial(e.get(k, 0) for k in range(max(e, default=-1) + 1))
+        for e in expected
+    ]
+
+
 def test_qpolynomial_construction_and_text():
     assert str(QPolynomial()) == "0"
     assert str(QPolynomial((1,))) == "1"
@@ -107,6 +141,9 @@ def test_partition_counts_small_type_a():
     assert kostant_partition(a2, (2, 2)) == 3
     assert kostant_partition(a2, (-1, 2)) == 0
     assert kostant_partition(a2, (Fraction(1, 2), 1)) == 0
+    # Entries that are not ints go through Fraction, strings included.
+    assert kostant_partition(a2, ("2", "2")) == 3
+    assert kostant_partition(a2, ("1/2", "1")) == 0
     a3 = _rs("A", 3)
     assert kostant_partition(a3, (1, 1, 1)) == 4
     assert str(kostant_partition_q(a3, (1, 1, 1))) == "q^3 + 2q^2 + q"
@@ -129,6 +166,37 @@ def test_counts_match_brute_force_oracle(family, rank):
         for parts, count in expected.items():
             assert graded.coeffs[parts] == count
         assert sum(graded.coeffs) == sum(expected.values())
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 6), ("B", 5), ("C", 5), ("D", 5)]
+)
+def test_counts_match_root_recursion(family, rank):
+    rs = _rs(family, rank)
+    rng = random.Random(f"kostant-runs-{family}{rank}")
+    for _ in range(3):
+        batch = [
+            tuple(rng.randrange(4) for _ in range(rank)) for _ in range(8)
+        ]
+        _assert_counts_match_recursion(rs, batch)
+
+
+@pytest.mark.parametrize(
+    "family,rank,batch",
+    [
+        # Zero leading axes: every run of a root on them is empty.
+        ("A", 4, [(0, 0, 2, 3), (0, 0, 1, 1)]),
+        # Zero trailing axes: each run is a single cell.
+        ("D", 5, [(3, 2, 1, 0, 0), (1, 1, 1, 0, 0)]),
+        # alpha_2 + 2 alpha_3 exceeds top on its last nonzero axis.
+        ("B", 3, [(2, 3, 1), (1, 2, 1), (0, 1, 0)]),
+        ("A", 1, [(0,), (3,), (7,)]),
+        # alpha_1 + alpha_2 runs over the whole last axis, longer than a piece.
+        ("A", 3, [(1, 1, kostant._PIECE + 76), (0, 1, 1000), (1, 0, 700), (1, 1, 3)]),
+    ],
+)
+def test_counts_match_root_recursion_on_edge_tops(family, rank, batch):
+    _assert_counts_match_recursion(_rs(family, rank), batch)
 
 
 def test_q_count_at_one_matches_plain_count():
