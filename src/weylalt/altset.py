@@ -54,9 +54,9 @@ from .rootsys import (
 from .weyl import (
     WeylElement,
     _coroot_pairing,
-    _coroot_pairings,
     _inverse_key,
     _moved,
+    _rho_shifted_pairings,
     _simple_matrices,
     _walk,
     enumerate_group,
@@ -149,7 +149,7 @@ def _residual_test(rs: RootSystem, lam: Weight, mu: Weight):
     """
     reflections = _simple_matrices(rs)
     start = [int(c) if c.denominator == 1 else c for c in wsub(lam, mu)]
-    offsets = _coroot_pairings(rs, wadd(mu, rs.rho))
+    offsets = _rho_shifted_pairings(rs, mu)
 
     def residual(sigma: WeylElement) -> tuple[int, ...] | None:
         d = _walk(reflections, sigma.word, start, offsets)
@@ -184,7 +184,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     lam = as_weight(lam)
     mu = as_weight(mu)
     # Dominant integral lambda: every <lambda + rho, alpha_i^vee> an int >= 1.
-    steps = _coroot_pairings(rs, wadd(lam, rs.rho))
+    steps = _rho_shifted_pairings(rs, lam)
     if not all(isinstance(n, int) and n >= 1 for n in steps):
         warnings.warn(
             "lambda is not dominant integral; falling back to full enumeration",

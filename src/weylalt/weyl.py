@@ -141,9 +141,15 @@ def _coroot_pairing(v, reflection: Reflection) -> int:
     return pairing
 
 
-def _coroot_pairings(rs: RootSystem, w) -> list:
-    """<w, alpha_i^vee> for every i, as an int wherever it is an integer."""
-    pairings = [_coroot_pairing(w, reflection) for reflection in _simple_matrices(rs)]
+def _rho_shifted_pairings(rs: RootSystem, w) -> list:
+    """<w + rho, alpha_i^vee> for every i, as an int wherever it is an integer.
+
+    <rho, alpha_i^vee> = 1, so each is <w, alpha_i^vee> + 1 and rho is never
+    added.  Integral coordinates are paired as ints, so a w in the root
+    lattice costs no Fraction arithmetic.
+    """
+    v = [c.numerator if c.denominator == 1 else c for c in w]
+    pairings = [_coroot_pairing(v, refl) + 1 for refl in _simple_matrices(rs)]
     return [int(p) if p.denominator == 1 else p for p in pairings]
 
 

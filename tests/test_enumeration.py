@@ -3,6 +3,7 @@
 import pytest
 
 from weylalt import enumeration
+from weylalt.altset import compute
 from weylalt.enumeration import (
     H1_LEADING_VALUES,
     PowerSeries,
@@ -21,6 +22,7 @@ from weylalt.enumeration import (
     verify_generating_functions,
     verify_recurrences,
 )
+from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root
 
 
 def test_fibonacci_values():
@@ -66,6 +68,16 @@ def test_closed_forms_match_counts():
             assert count_neg_height2(r, i) == alternation_count(r, i, i + 1)
 
 
+def test_span_counts_match_the_search():
+    # Each cell searched on its own, against the one search per rank.
+    for r in range(1, 10):
+        rs = build_root_system(RootSystemSpec("A", r))
+        for i in range(1, r + 1):
+            for j in range(i, r + 1):
+                aset = compute(rs, rs.highest_root, neg_root(rs, i, j))
+                assert alternation_count(r, i, j) == len(aset), (r, i, j)
+
+
 def test_closed_form_bounds():
     with pytest.raises(ValueError):
         count_neg_simple(3, 0)
@@ -73,8 +85,9 @@ def test_closed_form_bounds():
         count_neg_simple(3, 4)
     with pytest.raises(ValueError):
         count_neg_height2(3, 3)
-    with pytest.raises(ValueError):
-        alternation_count(3, 2, 1)
+    for bad in ((3, 2, 1), (3, 0, 2), (3, 1, 4), (0, 1, 1)):
+        with pytest.raises(ValueError):
+            alternation_count(*bad)
     with pytest.raises(ValueError):
         p_value(3, 4)
 
