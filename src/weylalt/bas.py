@@ -7,10 +7,12 @@ the basic allowable subwords a free generating tableau for the whole set:
 `independent_subsets` composed with `reconstruct` is a bijection onto it,
 and `verify_bijection` certifies that on any computed instance.
 
-The extraction works on influence bitmasks (bit i-1 for s_i, see `weyl`):
-each member gets its mask and its grown mask once, the dependence test on a
-pair is one AND of the two, and independent subsets are enumerated by
-member index against an int mask of the members still allowed.
+The extraction works on influence bitmasks (bit i-1 for s_i, see `weyl`).
+Dependence is kept once, as one int mask per member over member indices,
+built by slicing the members on Dynkin nodes rather than by testing pairs;
+the edge list is derived from the masks on first read, and independent
+subsets are enumerated by member index against an int mask of the members
+still allowed.
 
 >>> rs = build_root_system(RootSystemSpec("A", 4))
 >>> bas = compute_bas(rs, rs.highest_root, neg_root(rs, 1, 4))
@@ -36,9 +38,9 @@ from .rootsys import (
     neg_root,
 )
 from .weyl import (
+    Reflection,
     WeylElement,
     _connected_mask,
-    _extend_mask,
     _influence_mask,
     _simple_matrices,
     from_word,
@@ -75,17 +77,30 @@ class TrichotomyError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BasSet:
-    """Basic members plus the dependence edges among them.
+    """Basic members plus their dependence, as one int mask per member.
 
-    An edge joins two members that are not independent; independent subsets
-    are exactly the subsets spanning no edge.  Sets compare and hash by
-    identity, so the cache keyed on one never hashes its members and edges.
+    Bit b of blocked[a] is set when members a and b are not independent, so
+    the masks are symmetric with no bit on the diagonal, and independent
+    subsets are exactly the subsets no member's mask blocks.  The dependence
+    edges are derived from the masks on first read.  Sets compare and hash
+    by identity, so the cache keyed on one never hashes its members.
     """
 
     lam: Weight
     mu: Weight
     members: tuple[WeylElement, ...]
-    dependence_edges: tuple[tuple[WeylElement, WeylElement], ...]
+    blocked: tuple[int, ...]
+
+    @cached_property
+    def dependence_edges(self) -> tuple[tuple[WeylElement, WeylElement], ...]:
+        """The dependent pairs (a, b), a before b, in member order."""
+        members = self.members
+        return tuple(
+            (members[a], members[b])
+            for a, row in enumerate(self.blocked)
+            for b in range(a + 1, len(members))
+            if row >> b & 1
+        )
 
     @cached_property
     def _members(self) -> frozenset:
@@ -98,6 +113,36 @@ class BasSet:
         return iter(self.members)
 
 
+def _blocked_masks(reflections: tuple[Reflection, ...], masks) -> tuple[int, ...]:
+    """Per member, the int mask of the other members it is not independent of.
+
+    Member b blocks member k when b's influence meets k's grown influence.
+    Slicing on Dynkin nodes gives that without a test per pair: on_node[n]
+    holds the members whose influence contains n, near[n] ORs on_node over
+    n's closed neighbourhood, and a member's mask ORs near over its own
+    nodes.  That is m * r big-int ORs for m members at rank r.
+    """
+    on_node = [0] * len(reflections)
+    for k, mask in enumerate(masks):
+        for n in range(mask.bit_length()):
+            if mask >> n & 1:
+                on_node[n] |= 1 << k
+    near = []
+    for reflection in reflections:
+        row = 0
+        for j, _ in reflection:
+            row |= on_node[j]
+        near.append(row)
+    blocked = []
+    for k, mask in enumerate(masks):
+        row = 0
+        for n in range(mask.bit_length()):
+            if mask >> n & 1:
+                row |= near[n]
+        blocked.append(row & ~(1 << k))
+    return tuple(blocked)
+
+
 def compute_bas(
     rs: RootSystem, lam, mu, aset: AlternationSet | None = None
 ) -> BasSet:
@@ -106,8 +151,8 @@ def compute_bas(
     The filter keeps nonidentity members with connected influence; the
     factorization bijection certified by `verify_bijection` is what makes
     this filter the right notion of irreducibility.  Each member's influence
-    mask and grown mask are computed once; a pair is dependent exactly when
-    the earlier member's mask meets the later one's grown mask.
+    mask is computed once, and `_blocked_masks` turns the masks into the
+    dependence relation.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -118,37 +163,31 @@ def compute_bas(
             "the alternation set is empty; basic subwords are undefined"
         )
     reflections = _simple_matrices(rs)
-    members, masks, grown = [], [], []
+    members, masks = [], []
     for sigma in aset.elements:
         mask = _influence_mask(sigma)
         if sigma.length and _connected_mask(reflections, mask):
             members.append(sigma)
             masks.append(mask)
-            grown.append(_extend_mask(reflections, mask))
-    edges = tuple(
-        (members[a], members[b])
-        for a in range(len(members))
-        for b in range(a + 1, len(members))
-        if masks[a] & grown[b]
+    return BasSet(
+        lam=lam,
+        mu=mu,
+        members=tuple(members),
+        blocked=_blocked_masks(reflections, masks),
     )
-    return BasSet(lam=lam, mu=mu, members=tuple(members), dependence_edges=edges)
 
 
 def independent_subsets(bas: BasSet) -> tuple[tuple[WeylElement, ...], ...]:
     """All pairwise independent subsets of the members, the empty one included.
 
-    Members are indexed in order and each gets an int mask of the members
-    its dependence edges block.  A subset extends only by members after its
-    last one that no chosen member blocks, kept as one `allowed` mask, so
-    the output order is deterministic for a given member order and the
-    recursion is no deeper than the largest independent subset.
+    Members are indexed in order and read their blocked masks off the set.
+    A subset extends only by members after its last one that no chosen
+    member blocks, kept as one `allowed` mask, so the output order is
+    deterministic for a given member order and the recursion is no deeper
+    than the largest independent subset.
     """
     members = bas.members
-    index = {m: k for k, m in enumerate(members)}
-    blocked = [0] * len(members)
-    for a, b in bas.dependence_edges:
-        blocked[index[a]] |= 1 << index[b]
-        blocked[index[b]] |= 1 << index[a]
+    blocked = bas.blocked
     out = []
 
     def grow(chosen: tuple[WeylElement, ...], allowed: int) -> None:
@@ -337,11 +376,12 @@ def from_json(rs: RootSystem, text: str) -> BasSet:
         raise ValueError(
             "dependence edges are not the pairs of members that are not independent, in order"
         )
+    reflections = _simple_matrices(rs)
     return BasSet(
         lam=as_weight(data["lambda"]),
         mu=as_weight(data["mu"]),
         members=members,
-        dependence_edges=edges,
+        blocked=_blocked_masks(reflections, [_influence_mask(m) for m in members]),
     )
 
 

@@ -192,13 +192,21 @@ def h_value(r: int, i: int) -> int:
 def p_value(r: int, i: int) -> int:
     """p^i_r = members of A_r(hr, -alpha_{i,r}) whose influence avoids r.
 
+    By the rule `alternation_count` uses, A_r(hr, -alpha_{i,r}) is the
+    members of the rank's cached A_r(hr, -alpha_{1,r}) whose residual has no
+    zero below coordinate i, so no set is searched per i.
+
     >>> [p_value(r, 1) for r in range(1, 5)]
     [1, 2, 3, 8]
     """
     if not 1 <= i <= r:
         raise ValueError(f"need 1 <= i <= r, got i={i}, r={r}")
-    aset = highest_root_alternation_set(r, i, r)
-    return sum(1 for sigma in aset if r not in influence(sigma))
+    aset = highest_root_alternation_set(r, 1, r)
+    return sum(
+        1
+        for sigma, d in zip(aset.elements, aset.residuals)
+        if all(d[: i - 1]) and r not in influence(sigma)
+    )
 
 
 def verify_recurrences(max_r: int = 9) -> Report:

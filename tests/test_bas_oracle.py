@@ -7,12 +7,13 @@ subsets come from an include-or-skip recursion that blocks on sets of
 elements.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from weylalt.altset import compute, sample_weight_pairs
-from weylalt.bas import compute_bas, independent_subsets, to_json
+from weylalt.bas import BasSet, compute_bas, independent_subsets, to_json
 from weylalt.rootsys import RootSystemSpec, build_root_system
 from weylalt.weyl import (
     _connected_mask,
@@ -112,7 +113,11 @@ def _weight_pairs(rs):
     return [(top, tuple(-c for c in top))] + sample_weight_pairs(rs, 3, seed=0)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5)])
+# B_6 and D_6 have nearly complete dependence graphs at (highest root,
+# -highest root).
+@pytest.mark.parametrize(
+    "family,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("B", 6), ("D", 6)]
+)
 def test_compute_bas_and_subsets_against_oracles(family, rank):
     rs = _rs(family, rank)
     for lam, mu in _weight_pairs(rs):
@@ -124,6 +129,29 @@ def test_compute_bas_and_subsets_against_oracles(family, rank):
         subsets = independent_subsets(bas)
         assert list(subsets) == _oracle_subsets(members, edges)
         assert len(subsets) == len(aset)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 7), ("B", 5), ("C", 5), ("D", 6)])
+def test_blocked_masks_are_the_pairwise_relation(family, rank):
+    rs = _rs(family, rank)
+    for lam, mu in _weight_pairs(rs):
+        bas = compute_bas(rs, lam, mu)
+        members = bas.members
+        assert len(bas.blocked) == len(members)
+        for a, sigma in enumerate(members):
+            for b, tau in enumerate(members):
+                want = a != b and not independent(rs, sigma, tau)
+                assert bool(bas.blocked[a] >> b & 1) == want, (sigma, tau)
+            assert bas.blocked[a] >> len(members) == 0
+
+
+def test_dependence_edges_are_derived_on_first_read_and_kept():
+    rs = _rs("A", 4)
+    bas = compute_bas(rs, rs.highest_root, tuple(-c for c in rs.highest_root))
+    assert "dependence_edges" not in vars(bas)
+    assert "dependence_edges" not in {f.name for f in dataclasses.fields(BasSet)}
+    assert bas.dependence_edges is bas.dependence_edges
+    assert bas.dependence_edges
 
 
 # sha256 of to_json at (highest root, -highest root).

@@ -77,6 +77,37 @@ def test_traced_cover_count_equals_a_brute_count(monkeypatch):
     assert metrics["altset.covers_accepted"] == sum(len(aset.edges) for aset in asets)
 
 
+def test_traced_basic_subword_counts_equal_brute_counts(monkeypatch):
+    spans = _spans(monkeypatch)
+    rs = build_root_system(RootSystemSpec("A", 4))
+    pairs = [(rs.highest_root, neg_root(rs, 1, 4)), (rs.highest_root, zero_weight(4))]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for lam, mu in pairs:
+            bas.compute_bas(rs, lam, mu)
+    finally:
+        tracer.stop()
+    # In type A a node set is connected when it is an interval, and two
+    # influences are dependent when some of their nodes are at most 1 apart.
+    members = [
+        [
+            set(sigma.word)
+            for sigma in compute(rs, lam, mu).elements
+            if sigma.word and max(sigma.word) - min(sigma.word) + 1 == len(set(sigma.word))
+        ]
+        for lam, mu in pairs
+    ]
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["bas.members"] == sum(len(basic) for basic in members)
+    assert metrics["bas.dependence_edges"] == sum(
+        any(abs(i - j) <= 1 for i in basic[a] for j in basic[b])
+        for basic in members
+        for a in range(len(basic))
+        for b in range(a + 1, len(basic))
+    )
+
+
 def test_traced_series_time_is_reported(monkeypatch):
     # A series builder that stopped being called by its traced name would
     # leave `enumeration.series.s` at 0 without any other sign.

@@ -78,6 +78,16 @@ def test_span_counts_match_the_search():
                 assert alternation_count(r, i, j) == len(aset), (r, i, j)
 
 
+def test_p_values_match_a_search_per_cell():
+    # p_value filters the rank's one cached set; here each cell is searched.
+    for r in range(1, 10):
+        rs = build_root_system(RootSystemSpec("A", r))
+        for i in range(1, r + 1):
+            aset = compute(rs, rs.highest_root, neg_root(rs, i, r))
+            want = sum(1 for sigma in aset if r not in sigma.word)
+            assert p_value(r, i) == want, (r, i)
+
+
 def test_closed_form_bounds():
     with pytest.raises(ValueError):
         count_neg_simple(3, 0)
