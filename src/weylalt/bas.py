@@ -151,8 +151,8 @@ def compute_bas(
     The filter keeps nonidentity members with connected influence; the
     factorization bijection certified by `verify_bijection` is what makes
     this filter the right notion of irreducibility.  Each member's influence
-    mask is computed once, and `_blocked_masks` turns the masks into the
-    dependence relation.
+    mask is computed once, connectivity is tested once per distinct mask,
+    and `_blocked_masks` turns the masks into the dependence relation.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -163,10 +163,12 @@ def compute_bas(
             "the alternation set is empty; basic subwords are undefined"
         )
     reflections = _simple_matrices(rs)
-    members, masks = [], []
+    members, masks, connected = [], [], {}
     for sigma in aset.elements:
         mask = _influence_mask(sigma)
-        if sigma.length and _connected_mask(reflections, mask):
+        if mask not in connected:
+            connected[mask] = _connected_mask(reflections, mask)
+        if sigma.length and connected[mask]:
             members.append(sigma)
             masks.append(mask)
     return BasSet(
@@ -354,8 +356,8 @@ def from_json(rs: RootSystem, text: str) -> BasSet:
     """Read what `to_json` wrote; ValueError on a payload it could not have.
 
     The members must be distinct and spelled as their witnesses, and the
-    dependence edges must be exactly the pairs that are not `independent`,
-    in `to_json` order.
+    dependence edges must be the loaded set's derived `dependence_edges`:
+    exactly the pairs that are not `independent`, in `to_json` order.
     """
     data = json.loads(text)
     if data["family"] != rs.spec.family or data["rank"] != rs.spec.rank:
@@ -365,24 +367,18 @@ def from_json(rs: RootSystem, text: str) -> BasSet:
         )
     by_name = _read_elements(rs, data["members"])
     members = tuple(by_name.values())
-    edges = _read_edges(by_name, data["dependence_edges"])
-    dependent = tuple(
-        (members[a], members[b])
-        for a in range(len(members))
-        for b in range(a + 1, len(members))
-        if not independent(rs, members[a], members[b])
-    )
-    if edges != dependent:
-        raise ValueError(
-            "dependence edges are not the pairs of members that are not independent, in order"
-        )
     reflections = _simple_matrices(rs)
-    return BasSet(
+    bas = BasSet(
         lam=as_weight(data["lambda"]),
         mu=as_weight(data["mu"]),
         members=members,
         blocked=_blocked_masks(reflections, [_influence_mask(m) for m in members]),
     )
+    if _read_edges(by_name, data["dependence_edges"]) != bas.dependence_edges:
+        raise ValueError(
+            "dependence edges are not the pairs of members that are not independent, in order"
+        )
+    return bas
 
 
 def to_dot(bas: BasSet) -> str:

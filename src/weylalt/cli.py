@@ -148,10 +148,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fraction_json(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
-
-
 def _cmd_altset(args, rs, lam, mu) -> int:
     aset = compute(rs, lam, mu)
     if args.format == "json":
@@ -250,7 +246,7 @@ def _cmd_counts(args) -> int:
         count = alternation_count(r, i, j)
         formula = grand.coefficient((r, i, j))
         writer.writerow(
-            [r, i, j, count, _fraction_json(formula), str(count == formula).lower()]
+            [r, i, j, count, formula, str(count == formula).lower()]
         )
     _emit(buffer.getvalue(), args.out)
     return 0
@@ -282,7 +278,7 @@ def _cmd_gf(args) -> int:
             "variables": list(series.variables),
             "truncation": list(series.truncation),
             "terms": [
-                {"exponents": list(e), "value": _fraction_json(c)} for e, c in terms
+                {"exponents": list(e), "value": c} for e, c in terms
             ],
         }
         _emit(json.dumps(payload, indent=2), args.out)
@@ -292,7 +288,7 @@ def _cmd_gf(args) -> int:
         label = " ".join(
             f"{v}^{e}" for v, e in zip(series.variables, exponents) if e
         )
-        lines.append(f"{label or '1'}: {_fraction_json(value)}")
+        lines.append(f"{label or '1'}: {value}")
     _emit("\n".join(lines) if lines else "(zero series)", args.out)
     return 0
 

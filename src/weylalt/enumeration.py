@@ -1,11 +1,12 @@
 """Fibonacci-flavored counting for type A alternation sets, verified two ways.
 
-Counts always come from definitions: a value like h^i_r counts the members
-of a freshly computed alternation set whose residuals pass the membership
-test, and p^i_r filters a set on whether the last generator appears in the
-influence.  The closed forms, recurrences, and generating functions are
-then checked against those definition values, never used to produce them;
-that direction is what makes the verification reports meaningful.
+Counts always come from definitions: one search per rank, for
+A_r(hr, -alpha_{1,r}), serves every negated root (`_zero_span`); h^i_r
+counts the members whose residual zeros lie in [i, r], and p^i_r those
+whose influence also avoids the last generator.  The closed forms,
+recurrences, and generating functions are then checked against those
+definition values, never used to produce them; that direction is what
+makes the verification reports meaningful.
 
 The series side is a small exact power-series engine over exponent boxes.
 Everything downstream needs at most three variables (rank, start, end of
@@ -137,31 +138,37 @@ def count_neg_height2(r: int, i: int) -> int:
     )
 
 
-@lru_cache(maxsize=256)
-def highest_root_alternation_set(r: int, i: int, j: int):
-    """A_r(hr, -alpha_{i,j}) in type A, cached across the counting sweeps.
+@lru_cache(maxsize=None)
+def highest_root_alternation_set(r: int):
+    """A_r(hr, -alpha_{1,r}), searched once per rank and cached.
 
-    The 256 entries hold every (r, i, j) up to rank 10, 220 of them, which
-    is the largest rank any default suite sweeps.
+    It is the only type A search: every cell A_r(hr, -alpha_{i,j}) is read
+    off it by the rule of `_zero_span`.
     """
-    if not 1 <= i <= j <= r:
-        raise ValueError(f"need 1 <= i <= j <= r, got i={i}, j={j}, r={r}")
     rs = build_root_system(RootSystemSpec("A", r))
-    return compute(rs, rs.highest_root, neg_root(rs, i, j))
+    return compute(rs, rs.highest_root, neg_root(rs, 1, r))
+
+
+def _zero_span(d) -> tuple[int, int]:
+    """(first, last) 1-based coordinates where d is 0; (len(d) + 1, 0) if none.
+
+    -alpha_{i,j} = -alpha_{1,r} + (the simple roots outside [i, j]), so a
+    residual against -alpha_{i,j} is the residual d against -alpha_{1,r}
+    minus 1 outside [i, j].  A_r(hr, -alpha_{i,j}) is therefore, in order,
+    the members of `highest_root_alternation_set(r)` whose span lies inside
+    [i, j]: i <= first and last <= j.
+    """
+    if 0 not in d:
+        return len(d) + 1, 0
+    return d.index(0) + 1, len(d) - d[::-1].index(0)
 
 
 @lru_cache(maxsize=None)
 def _zero_spans(r: int) -> dict:
-    """Members of A_r(hr, -alpha_{1,r}), counted by the span of their zeros.
-
-    A member's span is (first, last) over the 1-based coordinates where its
-    residual is 0; a member with no zero gets (r + 1, 0), which every [i, j]
-    contains.
-    """
+    """Members of A_r(hr, -alpha_{1,r}), counted by `_zero_span`."""
     spans: dict = {}
-    for d in highest_root_alternation_set(r, 1, r).residuals:
-        zeros = [k for k, c in enumerate(d, 1) if not c]
-        span = (zeros[0], zeros[-1]) if zeros else (r + 1, 0)
+    for d in highest_root_alternation_set(r).residuals:
+        span = _zero_span(d)
         spans[span] = spans.get(span, 0) + 1
     return spans
 
@@ -169,11 +176,8 @@ def _zero_spans(r: int) -> dict:
 def alternation_count(r: int, i: int, j: int) -> int:
     """|A_r(hr, -alpha_{i,j})| computed from the definition, one search per rank.
 
-    -alpha_{i,j} = -alpha_{1,r} + (the simple roots outside [i, j]), so a
-    residual against -alpha_{i,j} is the residual against -alpha_{1,r} minus
-    1 at every coordinate outside [i, j].  A_r(hr, -alpha_{i,j}) is therefore
-    the members of A_r(hr, -alpha_{1,r}) whose residual has all its zeros
-    inside [i, j], and the count sums the per-rank table `_zero_spans`.
+    The count sums the per-rank table `_zero_spans` over the spans inside
+    [i, j], the rule of `_zero_span`.
     """
     if not 1 <= i <= j <= r:
         raise ValueError(f"need 1 <= i <= j <= r, got i={i}, j={j}, r={r}")
@@ -192,20 +196,20 @@ def h_value(r: int, i: int) -> int:
 def p_value(r: int, i: int) -> int:
     """p^i_r = members of A_r(hr, -alpha_{i,r}) whose influence avoids r.
 
-    By the rule `alternation_count` uses, A_r(hr, -alpha_{i,r}) is the
-    members of the rank's cached A_r(hr, -alpha_{1,r}) whose residual has no
-    zero below coordinate i, so no set is searched per i.
+    By the rule of `_zero_span`, A_r(hr, -alpha_{i,r}) is the members of
+    the rank's cached A_r(hr, -alpha_{1,r}) whose zero span starts at i or
+    later, so no set is searched per i.
 
     >>> [p_value(r, 1) for r in range(1, 5)]
     [1, 2, 3, 8]
     """
     if not 1 <= i <= r:
         raise ValueError(f"need 1 <= i <= r, got i={i}, r={r}")
-    aset = highest_root_alternation_set(r, 1, r)
+    aset = highest_root_alternation_set(r)
     return sum(
         1
         for sigma, d in zip(aset.elements, aset.residuals)
-        if all(d[: i - 1]) and r not in influence(sigma)
+        if _zero_span(d)[0] >= i and r not in influence(sigma)
     )
 
 

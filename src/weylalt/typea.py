@@ -1,13 +1,15 @@
 """Closed-form catalogs and bijections special to type A highest-root pairs.
 
 For lambda the highest root and mu a negated positive root, the basic
-allowable subwords fall into five word shapes whose index ranges depend
-only on where mu starts and ends.  This module spells those catalogs out,
-lists the word families that can never occur inside allowable elements,
-and realizes the encoding of A_r(hr, -hr) by sequences over {0, 1, 2}.
+allowable subwords fall into five word shapes whose index ranges follow
+one rule in where mu starts and ends.  This module spells those catalogs
+out, lists the word families that can never occur inside allowable
+elements, and realizes the encoding of A_r(hr, -hr) by sequences over
+{0, 1, 2}.
 
 Everything here is cross-checked against the general machinery: catalogs
-against `bas.compute_bas`, forbidden words against the membership
+against `bas.compute_bas` of the rank's one search (each cell read off it
+by `enumeration._zero_span`), forbidden words against the membership
 predicate, sequences against the computed alternation set.
 
 >>> [entry.word for entry in catalog_bas(4, 1, 4)]
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .altset import contains
 from .bas import classify_product, compute_bas
-from .enumeration import h_value, highest_root_alternation_set
+from .enumeration import _zero_span, h_value, highest_root_alternation_set
 from .reporting import Report
 from .rootsys import MAX_RANK, RootSystemSpec, build_root_system
 from .weyl import WeylElement, from_word, identity, word_text
@@ -71,10 +73,13 @@ class CatalogEntry:
 def catalog_bas(r: int, i: int, j: int) -> list:
     """Catalog of basic allowable subwords for A_r(hr, -alpha_{i,j}).
 
-    Index ranges dispatch on whether the negated root touches the ends of
-    the diagram.  At r = 1 direct computation shows s_1 is not allowable
-    (the shifted weight picks up a negative coordinate), so the catalog is
-    empty there even though the i = 1 pattern would nominally emit s_1.
+    One rule gives every shape's index range: with lo = max(i, 2) and
+    hi = min(j, r - 1), shape (a) runs from 1 (2 when i > 1) to r (r - 1
+    when j < r), (b) over [max(i - 1, 2), hi), (c) over [lo, min(j, r - 2)],
+    (d) over [lo, hi) and (e) over [lo, hi - 1).  At r = 1 direct
+    computation shows s_1 is not allowable (the shifted weight picks up a
+    negative coordinate), so the catalog is empty there even though the
+    rule would emit s_1.
 
     >>> [entry.word for entry in catalog_bas(5, 2, 4)]
     [(2,), (3,), (4,), (3, 2), (4, 3), (2, 3), (3, 4), (2, 3, 2), (3, 4, 3), (4, 2, 3)]
@@ -87,38 +92,14 @@ def catalog_bas(r: int, i: int, j: int) -> list:
         raise ValueError(f"need 1 <= i <= j <= r, got i={i}, j={j}, r={r}")
     if r == 1:
         return []
-    if i == 1 and j == r:
-        ranges = {
-            "a": range(1, r + 1),
-            "b": range(2, r - 1),
-            "c": range(2, r - 1),
-            "d": range(2, r - 1),
-            "e": range(2, r - 2),
-        }
-    elif i == 1:
-        ranges = {
-            "a": range(1, r),
-            "b": range(2, j),
-            "c": range(2, min(j, r - 2) + 1),
-            "d": range(2, j),
-            "e": range(2, j - 1),
-        }
-    elif j == r:
-        ranges = {
-            "a": range(2, r + 1),
-            "b": range(max(i - 1, 2), r - 1),
-            "c": range(i, r - 1),
-            "d": range(i, r - 1),
-            "e": range(i, r - 2),
-        }
-    else:
-        ranges = {
-            "a": range(2, r),
-            "b": range(max(i - 1, 2), j),
-            "c": range(i, min(j, r - 2) + 1),
-            "d": range(i, j),
-            "e": range(i, j - 1),
-        }
+    lo, hi = max(i, 2), min(j, r - 1)
+    ranges = {
+        "a": range(1 if i == 1 else 2, r + 1 if j == r else r),
+        "b": range(max(i - 1, 2), hi),
+        "c": range(lo, min(j, r - 2) + 1),
+        "d": range(lo, hi),
+        "e": range(lo, hi - 1),
+    }
     return [
         CatalogEntry(shape=shape, k=k, word=_SHAPE_PATTERNS[shape](k))
         for shape in "abcde"
@@ -126,10 +107,8 @@ def catalog_bas(r: int, i: int, j: int) -> list:
     ]
 
 
-def _compare_catalog(report: Report, r: int, i: int, j: int) -> None:
-    rs = build_root_system(RootSystemSpec("A", r))
-    aset = highest_root_alternation_set(r, i, j)
-    computed = frozenset(compute_bas(rs, aset.lam, aset.mu, aset=aset).members)
+def _compare_catalog(report: Report, rs, i: int, j: int, computed: frozenset) -> None:
+    r = rs.rank
     entries = catalog_bas(r, i, j)
     catalog = {from_word(rs, entry.word) for entry in entries}
     report.check(
@@ -149,12 +128,28 @@ def _compare_catalog(report: Report, r: int, i: int, j: int) -> None:
 
 
 def verify_catalogs(max_r: int = 9) -> Report:
-    """Compare catalogs with computed sets for every negated positive root."""
+    """Compare catalogs with computed sets for every negated positive root.
+
+    Each rank is searched once, for A_r(hr, -alpha_{1,r}), and its basic
+    subwords are extracted once.  Being basic depends only on the element,
+    so the basic subwords of A_r(hr, -alpha_{i,j}) are the rank's basic
+    members whose residual zero span lies inside [i, j] (`_zero_span`).
+    """
     report = Report(title=f"catalogs up to rank {max_r}")
     for r in range(1, max_r + 1):
+        rs = build_root_system(RootSystemSpec("A", r))
+        aset = highest_root_alternation_set(r)
+        residual = dict(zip(aset.elements, aset.residuals))
+        basics = [
+            (sigma, _zero_span(residual[sigma]))
+            for sigma in compute_bas(rs, aset.lam, aset.mu, aset=aset).members
+        ]
         for i in range(1, r + 1):
             for j in range(i, r + 1):
-                _compare_catalog(report, r, i, j)
+                computed = frozenset(
+                    sigma for sigma, (first, last) in basics if i <= first and last <= j
+                )
+                _compare_catalog(report, rs, i, j, computed)
     return report
 
 
@@ -218,7 +213,7 @@ def verify_trichotomy(min_r: int = 4, max_r: int = 8) -> Report:
     report = Report(title=f"product trichotomy for ranks {min_r}..{max_r}")
     for r in range(min_r, max_r + 1):
         rs = build_root_system(RootSystemSpec("A", r))
-        aset = highest_root_alternation_set(r, 1, r)
+        aset = highest_root_alternation_set(r)
         bas = compute_bas(rs, aset.lam, aset.mu, aset=aset)
         pairs = 0
         for a, sigma in enumerate(bas.members):
@@ -350,7 +345,7 @@ def verify_x_bijection(r: int) -> Report:
             previous is x,
             f"sequences {previous.entries} and {x.entries} decode identically",
         )
-    aset = highest_root_alternation_set(r, 1, r)
+    aset = highest_root_alternation_set(r)
     report.check(
         decoded.keys() == set(aset),
         f"decoded image differs from the alternation set at rank {r}",

@@ -4,14 +4,17 @@ import pytest
 
 from weylalt import enumeration
 from weylalt.altset import compute
+from weylalt.bas import compute_bas
 from weylalt.enumeration import (
     H1_LEADING_VALUES,
     PowerSeries,
+    _zero_span,
     alternation_count,
     count_neg_height2,
     count_neg_simple,
     fibonacci,
     h_value,
+    highest_root_alternation_set,
     p_value,
     series_expand,
     series_grand,
@@ -76,6 +79,35 @@ def test_span_counts_match_the_search():
             for j in range(i, r + 1):
                 aset = compute(rs, rs.highest_root, neg_root(rs, i, j))
                 assert alternation_count(r, i, j) == len(aset), (r, i, j)
+
+
+def test_zero_span_filter_is_each_cell():
+    # Every cell, read off the rank's one set by zero span, equals its own
+    # search: the same elements in order with the same witnesses, residuals
+    # lowered by 1 outside [i, j], and the same basic members.
+    for r in range(1, 9):
+        rs = build_root_system(RootSystemSpec("A", r))
+        whole = highest_root_alternation_set(r)
+        rank_basics = compute_bas(rs, whole.lam, whole.mu, aset=whole).members
+        spans = [_zero_span(d) for d in whole.residuals]
+        for i in range(1, r + 1):
+            for j in range(i, r + 1):
+                kept = [
+                    (sigma, d)
+                    for sigma, d, (first, last) in zip(whole.elements, whole.residuals, spans)
+                    if i <= first and last <= j
+                ]
+                cell = compute(rs, rs.highest_root, neg_root(rs, i, j))
+                assert [s for s, _ in kept] == list(cell.elements), (r, i, j)
+                assert [s.word for s, _ in kept] == [s.word for s in cell.elements]
+                shifted = [
+                    tuple(c if i <= k <= j else c - 1 for k, c in enumerate(d, 1))
+                    for _, d in kept
+                ]
+                assert shifted == list(cell.residuals), (r, i, j)
+                members = dict(kept)
+                basics = tuple(s for s in rank_basics if s in members)
+                assert basics == compute_bas(rs, cell.lam, cell.mu, aset=cell).members, (r, i, j)
 
 
 def test_p_values_match_a_search_per_cell():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from weylalt.altset import contains
+from weylalt import enumeration, typea
+from weylalt.altset import compute, contains
 from weylalt.enumeration import h_value, highest_root_alternation_set
 from weylalt.kostant import kostant_partition
 from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root, wadd, wsub
@@ -105,6 +106,37 @@ def test_catalog_matches_computed_basic_set():
     assert report.ok and report.checked > 0
 
 
+def test_catalog_check_searches_once_per_rank(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    highest_root_alternation_set.cache_clear()
+    monkeypatch.setattr(enumeration, "compute", counted)
+    monkeypatch.setattr("weylalt.bas.compute", counted)
+    assert verify_catalogs(6).ok
+    assert len(calls) == 6
+
+
+def test_catalog_check_catches_a_dropped_entry(monkeypatch):
+    def short(r, i, j):
+        entries = catalog_bas(r, i, j)
+        return entries[:-1] if (r, i, j) == (5, 2, 4) else entries
+
+    monkeypatch.setattr(typea, "catalog_bas", short)
+    report = verify_catalogs(6)
+    assert report.failures_seen == 1
+    assert report.failures[0].startswith("catalog mismatch at r=5, i=2, j=4:")
+
+
+def test_catalogs_through_rank_eleven():
+    report = verify_catalogs(11)
+    assert report.ok
+    assert report.checked == 2 * sum(r * (r + 1) // 2 for r in range(1, 12))
+
+
 def test_catalog_words_spell_actual_members():
     rs = build_root_system(RootSystemSpec("A", 5))
     bas = compute_bas(rs, rs.highest_root, neg_root(rs, 2, 4))
@@ -193,5 +225,5 @@ def test_psi_images_fill_alternation_set():
     for r in range(1, 8):
         assert verify_x_bijection(r).ok
     decoded = {psi(x).images for x in x_sequences(5)}
-    target = {s.images for s in highest_root_alternation_set(5, 1, 5)}
+    target = {s.images for s in highest_root_alternation_set(5)}
     assert decoded == target
