@@ -7,7 +7,8 @@ lambda the set is a lower ideal in both weak Bruhat orders, so it can be
 grown from the identity by following cover edges and never enumerating the
 full group.  `compute` does exactly that with left covers s_j sigma, which
 move only coordinate j of the integer residual d(sigma) = sigma(lambda +
-rho) - mu - rho; `compute_naive` filters a full enumeration with the
+rho) - mu - rho, and builds each member once, from the parent that drops
+its least left descent; `compute_naive` filters a full enumeration with the
 membership predicate as an oracle.
 
 One rule finds right covers.  sigma s_i = (s_i sigma^-1)^-1, so the right
@@ -56,6 +57,7 @@ from .weyl import (
     _coroot_pairing,
     _inverse_key,
     _moved,
+    _neighbour_columns,
     _rho_shifted_pairings,
     _simple_matrices,
     _walk,
@@ -85,10 +87,10 @@ __all__ = [
 #: element is budgeted 1024 + 64 * rank bytes: its object, key sigma(2 rho),
 #: word and residual, plus its share of the right-cover edges that `to_json`
 #: and `to_dot` derive afterwards.  On the (highest root, -highest root) sets
-#: of A_14 and A_15 in CPython 3.11, peak RSS measured 504 and 512 bytes per
-#: element for `compute` alone, and 1083 and 1096 with the edges derived too
-#: (the inverse keys and the edge pairs); the rest is room for entries too
-#: large for the small-int cache.
+#: of A_14 and A_15 in CPython 3.11, peak RSS measured 549 and 559 bytes per
+#: element for `compute` alone (the frontier's pairing tuples included), and
+#: 1083 and 1126 with the edges derived too (the inverse keys and the edge
+#: pairs); the rest is room for entries too large for the small-int cache.
 MAX_SET_BYTES = 2**28
 
 
@@ -168,18 +170,28 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     filter (with a warning) since the pruned search could then miss
     elements.
 
-    Each element sigma is reached by its residual d(sigma) = sigma(lambda +
-    rho) - mu - rho alone, starting from d(e) = lambda - mu.  The left step
-    s_j sigma subtracts p alpha_j, with p = <sigma(lambda + rho), alpha_j^vee>
-    = <d, alpha_j^vee> + o_j and o_j = <mu + rho, alpha_j^vee>, so only
-    coordinate j changes.  Since lambda + rho is regular dominant, the step
-    is a cover exactly when p > 0, and the cover is a member exactly when
-    d_j >= p.  Distinct elements have distinct residuals, so one dict per
-    layer dedupes it; looping over j outside and the layer inside reaches
-    each element first by its lexicographically least reduced word, as
-    `enumerate_group` does, and the set is a lower ideal of the left weak
-    order, so no member is missed.  Raises ValueError as soon as the set's
-    estimated memory passes MAX_SET_BYTES.
+    Each frontier entry carries sigma's residual d = sigma(lambda + rho) -
+    mu - rho and its pairings P_k = <sigma(lambda + rho), alpha_k^vee>,
+    which start as <lambda + rho, alpha_k^vee> at the identity.  The left
+    step s_j sigma subtracts p alpha_j from both vectors, with p = P_j, so
+    d changes only at j and P only at j and j's Dynkin neighbours
+    (`_neighbour_columns`).  Since lambda + rho is regular dominant, the
+    step is a cover exactly when p > 0, the cover is a member exactly when
+    d_j >= p, and the left descents of tau = s_j sigma are the k with
+    Q_k < 0, Q being tau's pairings.
+
+    Each member is built once, from its canonical parent: tau is kept only
+    when j is its least left descent.  Witnesses are least reduced words,
+    so sigma's least descent m is its witness's first letter; the
+    off-diagonal Cartan entries are <= 0, so for m > j no Q_k with k < j is
+    negative, for m < j off j's neighbours Q_m = P_m < 0, and only for a
+    neighbour m < j are Q_1..Q_{j-1} read.  Looping over j outside and the
+    layer inside then lists each layer by (least descent, parent), the
+    order in which a breadth-first search first reaches each element by its
+    lexicographically least reduced word, as `enumerate_group` does; the
+    set is a lower ideal of the left weak order, so every member's
+    canonical parent is a member and none is missed.  Raises ValueError as
+    soon as the set's estimated memory passes MAX_SET_BYTES.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -196,34 +208,41 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
         return AlternationSet(lam=lam, mu=mu, elements=(), residuals=())
     r = rs.rank
     reflections = _simple_matrices(rs)
+    neighbours = _neighbour_columns(rs)
     per_element = 1024 + 64 * r
     limit = MAX_SET_BYTES // per_element
     start = tuple(map(int, start_residual))
-    # o_j = <mu + rho, alpha_j^vee> = n_j - <lambda - mu, alpha_j^vee>, in ints.
-    offsets = [n - _coroot_pairing(start, f) for n, f in zip(steps, reflections)]
-    # One layer, residual -> element.
-    layer = {start: identity(rs)}
-    elements = [layer[start]]
+    # One layer of (element, residual, pairings).
+    layer = [(identity(rs), start, tuple(steps))]
+    elements = [layer[0][0]]
     residuals = [start]
     while layer:
-        following = {}
-        for j, reflection in enumerate(reflections):
-            o = offsets[j]
-            for d, sigma in layer.items():
-                p = _coroot_pairing(d, reflection) + o
+        following = []
+        for j, (column, lower) in enumerate(neighbours):
+            reflection = reflections[j]
+            for sigma, d, pairings in layer:
+                p = pairings[j]
                 if p <= 0 or d[j] < p:
                     continue
-                grown = _moved(d, j, p)
-                if grown in following:
+                word = sigma.word
+                m = word[0] - 1 if word else r
+                if m < j and not lower >> m & 1:
+                    continue
+                q = list(pairings)
+                q[j] = -p
+                for i, a in column:
+                    q[i] -= p * a
+                if m < j and min(q[:j]) < 0:
                     continue
                 key = sigma.key
                 tau = WeylElement(
                     rs=rs,
                     key=_moved(key, j, _coroot_pairing(key, reflection)),
-                    word=(j + 1,) + sigma.word,
+                    word=(j + 1,) + word,
                     length=sigma.length + 1,
                 )
-                following[grown] = tau
+                grown = _moved(d, j, p)
+                following.append((tau, grown, tuple(q)))
                 elements.append(tau)
                 residuals.append(grown)
                 if len(elements) > limit:

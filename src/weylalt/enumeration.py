@@ -193,24 +193,38 @@ def h_value(r: int, i: int) -> int:
     return alternation_count(r, i, r)
 
 
+@lru_cache(maxsize=None)
+def _p_values(r: int) -> tuple[int, ...]:
+    """(p^1_r, ..., p^r_r), from one pass over the rank's cached set.
+
+    Members whose influence avoids r are tallied by where their zero span
+    starts (1..r, or r + 1 with no zero); p^i_r is the tally from i on,
+    a suffix sum.
+    """
+    aset = highest_root_alternation_set(r)
+    tally = [0] * (r + 2)
+    for sigma, d in zip(aset.elements, aset.residuals):
+        if r not in influence(sigma):
+            tally[_zero_span(d)[0]] += 1
+    for start in range(r, 0, -1):
+        tally[start] += tally[start + 1]
+    return tuple(tally[1 : r + 1])
+
+
 def p_value(r: int, i: int) -> int:
     """p^i_r = members of A_r(hr, -alpha_{i,r}) whose influence avoids r.
 
     By the rule of `_zero_span`, A_r(hr, -alpha_{i,r}) is the members of
     the rank's cached A_r(hr, -alpha_{1,r}) whose zero span starts at i or
-    later, so no set is searched per i.
+    later, so no set is searched per i, and one pass per rank
+    (`_p_values`) counts every i.
 
     >>> [p_value(r, 1) for r in range(1, 5)]
     [1, 2, 3, 8]
     """
     if not 1 <= i <= r:
         raise ValueError(f"need 1 <= i <= r, got i={i}, r={r}")
-    aset = highest_root_alternation_set(r)
-    return sum(
-        1
-        for sigma, d in zip(aset.elements, aset.residuals)
-        if _zero_span(d)[0] >= i and r not in influence(sigma)
-    )
+    return _p_values(r)[i - 1]
 
 
 def verify_recurrences(max_r: int = 9) -> Report:

@@ -128,6 +128,23 @@ def _simple_matrices(rs: RootSystem) -> tuple[Reflection, ...]:
 
 
 @lru_cache(maxsize=None)
+def _neighbour_columns(rs: RootSystem) -> tuple[tuple[Reflection, int], ...]:
+    """What the left step s_j does to the pairings, per node j, 0-based.
+
+    s_j v = v - p alpha_j moves <v, alpha_i^vee> by -p a_ji, which is
+    nonzero only at j (a_jj = 2) and at j's Dynkin neighbours.  Entry j
+    holds the pairs (i, a_ji) over those neighbours i != j, and a bitmask
+    of the neighbours below j (bit i for node i).
+    """
+    r = rs.rank
+    entries = []
+    for j in range(r):
+        column = tuple((i, rs.cartan[j][i]) for i in range(r) if i != j and rs.cartan[j][i])
+        entries.append((column, sum(1 << i for i, _ in column if i < j)))
+    return tuple(entries)
+
+
+@lru_cache(maxsize=None)
 def _two_rho(rs: RootSystem) -> tuple[int, ...]:
     """2 rho, the sum of the positive roots: the key of the identity."""
     return tuple(int(2 * c) for c in rs.rho)

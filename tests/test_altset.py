@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylalt import altset
+from weylalt import altset, weyl
 from weylalt.altset import (
     compute,
     compute_naive,
@@ -472,3 +472,55 @@ def test_edges_are_the_right_covers_in_order(family, rank):
         sizes.append(len(aset))
         assert _edge_words(aset.edges) == _edge_words(_brute_right_covers(rs, aset))
     assert sizes[-2] > 1 and sizes[-1] == 0
+
+
+def _top_pair(rs):
+    return rs.highest_root, tuple(-c for c in rs.highest_root)
+
+
+@pytest.mark.parametrize(
+    "family,rank,sampled",
+    [("A", 9, 5), ("B", 7, 4), ("C", 7, 4), ("D", 7, 5)],
+)
+def test_witnesses_are_least_words_of_their_keys(family, rank, sampled):
+    # The search builds each member from the parent that drops its least left
+    # descent; the descent rule reads the least reduced word off the key alone.
+    top = _rs(family, rank)
+    small = _rs(family, sampled)
+    runs = [(top, *_top_pair(top))]
+    runs += [(small, lam, mu) for lam, mu in sample_weight_pairs(small, 6, seed=5)]
+    sizes = []
+    for rs, lam, mu in runs:
+        reflections = weyl._simple_matrices(rs)
+        aset = compute(rs, lam, mu)
+        sizes.append(len(aset))
+        for sigma in aset.elements:
+            assert sigma.word == weyl._least_word(reflections, sigma.key)
+            assert sigma.length == len(sigma.word)
+    assert sizes[0] > 400 and max(sizes[1:]) > 4
+
+
+@pytest.mark.parametrize("family,rank", [("A", 7), ("B", 6), ("C", 6), ("D", 6)])
+def test_search_equals_full_filter_at_the_highest_root(family, rank):
+    rs = _rs(family, rank)
+    lam, mu = _top_pair(rs)
+    fast = compute(rs, lam, mu)
+    slow = compute_naive(rs, lam, mu)
+    assert [s.word for s in fast.elements] == [s.word for s in slow.elements]
+    assert [s.key for s in fast.elements] == [s.key for s in slow.elements]
+    assert fast.residuals == slow.residuals
+
+
+@pytest.mark.parametrize("family,rank", [("A", 8), ("D", 6)])
+def test_search_builds_each_member_once(family, rank, monkeypatch):
+    rs = _rs(family, rank)
+    built = []
+
+    def counted(**fields):
+        built.append(fields["key"])
+        return weyl.WeylElement(**fields)
+
+    monkeypatch.setattr(altset, "WeylElement", counted)
+    aset = compute(rs, *_top_pair(rs))
+    assert len(aset) > 100
+    assert len(built) == len(aset) - 1
