@@ -8,8 +8,11 @@ grown from the identity by following cover edges and never enumerating the
 full group.  `compute` does exactly that with left covers s_j sigma, which
 move only coordinate j of the integer residual d(sigma) = sigma(lambda +
 rho) - mu - rho, and builds each member once, from the parent that drops
-its least left descent; `compute_naive` filters a full enumeration with the
-membership predicate as an oracle.
+its least left descent.  `compute_naive`, the oracle, filters with the
+membership predicate a set that provably holds every member without
+assuming the ideal theorem: for dominant integral lambda the rho-bounded
+lower ideal {sigma : sigma(2 rho) >= 2 rho - 2(lambda - mu)}, and the
+whole group otherwise.
 
 One rule finds right covers.  sigma s_i = (s_i sigma^-1)^-1, so the right
 covers of sigma are the left covers of sigma^-1, read off the inverse key
@@ -33,6 +36,7 @@ of the carried residuals.
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -55,11 +59,13 @@ from .rootsys import (
 from .weyl import (
     WeylElement,
     _coroot_pairing,
+    _group,
     _inverse_key,
     _moved,
     _neighbour_columns,
     _rho_shifted_pairings,
     _simple_matrices,
+    _two_rho,
     _walk,
     enumerate_group,
     from_word,
@@ -136,7 +142,10 @@ def contains(rs: RootSystem, lam, mu, sigma: WeylElement) -> bool:
 
     The simple roots are positive roots, so the count is positive exactly
     when every coordinate of the argument is a nonnegative integer; this
-    never counts.  It is the same test `compute_naive` filters the group with.
+    never counts.  It is the same test `compute_naive` filters with, over
+    the rho-bounded set sigma(2 rho) >= 2 rho - 2(lambda - mu) when lambda
+    is dominant integral (every member lies in it) and over the whole group
+    otherwise.
     """
     return _residual_test(rs, as_weight(lam), as_weight(mu))(sigma) is not None
 
@@ -147,7 +156,8 @@ def _residual_test(rs: RootSystem, lam: Weight, mu: Weight):
     It walks sigma's witness word from d(e) = lambda - mu (in ints when that
     and the mu + rho offsets are integral), reads no images and shares
     nothing with `compute`, so the exhaustive filter stays an independent
-    oracle.  `contains`, `compute_naive` and `from_json` use it.
+    oracle.  `contains`, `compute_naive`, `from_json` and
+    `typea.verify_forbidden` use it.
     """
     reflections = _simple_matrices(rs)
     start = [int(c) if c.denominator == 1 else c for c in wsub(lam, mu)]
@@ -160,6 +170,11 @@ def _residual_test(rs: RootSystem, lam: Weight, mu: Weight):
         return tuple(map(int, d))
 
     return residual
+
+
+def _dominant_integral(steps) -> bool:
+    """Whether every <lambda + rho, alpha_i^vee> is an int >= 1."""
+    return all(isinstance(n, int) and n >= 1 for n in steps)
 
 
 def compute(rs: RootSystem, lam, mu) -> AlternationSet:
@@ -195,9 +210,8 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
-    # Dominant integral lambda: every <lambda + rho, alpha_i^vee> an int >= 1.
     steps = _rho_shifted_pairings(rs, lam)
-    if not all(isinstance(n, int) and n >= 1 for n in steps):
+    if not _dominant_integral(steps):
         warnings.warn(
             "lambda is not dominant integral; falling back to full enumeration",
             stacklevel=2,
@@ -282,15 +296,34 @@ def _right_cover_edges(elements) -> tuple:
 
 
 def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
-    """Filter the whole group; the oracle `compute` is checked against.
+    """Filter the group with the membership predicate; the oracle of `compute`.
 
-    Members come from the membership predicate, so they share nothing with
-    the cover rule of `compute`.
+    For dominant integral lambda only the rho-bounded set {sigma :
+    sigma(2 rho) >= 2 rho - 2(lambda - mu)} is walked, and it holds every
+    member.  Write d(sigma) = sigma(lambda + rho) - mu - rho >= 0 for a
+    member; then rho - sigma rho = (sigma lambda - lambda) + (lambda - mu) -
+    d(sigma) <= lambda - mu, since lambda - sigma lambda is a nonnegative
+    root combination for dominant lambda.  A left cover s_i sigma > sigma
+    adds a positive multiple of alpha_i to rho - sigma rho, so the bounded
+    set is a lower ideal of the left weak order, found by elementary means
+    and not by the ideal theorem that `compute` rests on.  `weyl._group`
+    walks it as the whole-group traversal restricted to it, so elements,
+    witnesses and residuals come out as the whole-group filter gives them.
+    Other lambda filter the whole group.  Either walk raises GroupSizeError
+    past MAX_GROUP_ORDER elements.  Members come from the predicate alone,
+    so they share nothing with the cover rule of `compute`.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
     residual = _residual_test(rs, lam, mu)
-    kept = [(s, d) for s in enumerate_group(rs) if (d := residual(s)) is not None]
+    if _dominant_integral(_rho_shifted_pairings(rs, lam)):
+        floor = tuple(
+            math.ceil(t - 2 * c) for t, c in zip(_two_rho(rs), wsub(lam, mu))
+        )
+        group = _group(rs, floor)
+    else:
+        group = enumerate_group(rs)
+    kept = [(s, d) for s in group if (d := residual(s)) is not None]
     return AlternationSet(
         lam=lam,
         mu=mu,

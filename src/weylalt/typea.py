@@ -23,11 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .altset import contains
+from .altset import _residual_test
 from .bas import classify_product, compute_bas
 from .enumeration import _zero_span, h_value, highest_root_alternation_set
 from .reporting import Report
-from .rootsys import MAX_RANK, RootSystemSpec, build_root_system
+from .rootsys import MAX_RANK, RootSystemSpec, as_weight, build_root_system
 from .weyl import WeylElement, from_word, identity, word_text
 
 __all__ = [
@@ -185,18 +185,19 @@ def forbidden_words(r: int) -> list:
 def verify_forbidden(max_r: int = 8) -> Report:
     """Check every forbidden word lands outside A_r(hr, -hr).
 
-    Membership is the set's one predicate, `altset.contains`: the residual
-    sigma(hr + rho) + hr - rho must have a negative or fractional entry, so
-    its partition count vanishes.
+    Membership is the set's one predicate, `altset._residual_test`, built
+    once per rank: the residual sigma(hr + rho) + hr - rho must have a
+    negative or fractional entry, so its partition count vanishes.
     """
     report = Report(title=f"forbidden words up to rank {max_r}")
     for r in range(2, max_r + 1):
         rs = build_root_system(RootSystemSpec("A", r))
         top = rs.highest_root
         neg_top = tuple(-c for c in top)
+        residual = _residual_test(rs, as_weight(top), as_weight(neg_top))
         for word in forbidden_words(r):
             report.check(
-                not contains(rs, top, neg_top, from_word(rs, word)),
+                residual(from_word(rs, word)) is None,
                 f"forbidden word {word_text(word)} is allowable at r={r}",
             )
     return report

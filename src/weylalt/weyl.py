@@ -12,7 +12,8 @@ All arithmetic on elements lives here, as two moves on integer vectors:
   coordinate i.  Walking a word by left steps, last letter first, applies its
   product to a weight, which is how `act` works; on a key, the step is the
   left cover s_i sigma exactly when <sigma(2 rho), alpha_i^vee> > 0, which is
-  how `from_word` tells a reduced word and `enumerate_group` grows the group.
+  how `from_word` tells a reduced word and `enumerate_group` grows the group
+  (or, under a key floor, the part of it the `compute_naive` oracle filters).
   Right covers are the same step on the inverse key sigma^-1(2 rho), since
   sigma s_i = (s_i sigma^-1)^-1 (`_inverse_key`);
 - the descent rule reads a reduced word off v = sigma(2 rho): the smallest
@@ -68,9 +69,11 @@ __all__ = [
 
 Reflection = tuple[tuple[int, int], ...]
 
-#: Largest group `enumerate_group` lists.  Only the exhaustive paths (the
-#: `compute_naive` oracle and the non-dominant fallback of `compute`)
-#: enumerate the group; the ideal search never does.
+#: Most elements an exhaustive walk visits: `enumerate_group` refuses a
+#: larger group up front, and the floored walk that the `compute_naive`
+#: oracle takes for dominant integral lambda stops once it has visited more.
+#: Only the exhaustive paths (that oracle and the non-dominant fallback of
+#: `compute`) walk the group; the ideal search never does.
 MAX_GROUP_ORDER = 50_000
 
 
@@ -371,25 +374,54 @@ def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
             f"Weyl group of {rs.spec.family}_{rs.spec.rank} has {order} elements, "
             f"above the cap of {MAX_GROUP_ORDER}"
         )
-    return _group(rs)
+    return _whole_group(rs)
 
 
 @lru_cache(maxsize=1)
-def _group(rs: RootSystem) -> tuple[WeylElement, ...]:
+def _whole_group(rs: RootSystem) -> tuple[WeylElement, ...]:
+    return _group(rs)
+
+
+def _group(rs: RootSystem, floor=None) -> tuple[WeylElement, ...]:
+    """The elements whose keys stay >= floor coordinatewise, in group order.
+
+    The breadth-first traversal of `enumerate_group`, taking the step
+    sigma -> s_i sigma only when its key, which moves at coordinate i
+    alone, keeps key[i] - p >= floor[i].  When the floored set is a lower
+    ideal of the left weak order (closed under dropping a left descent),
+    every member's least-word parent is a member, so the traversal visits
+    exactly that set, each element by the same witness and in the same
+    relative order as in the whole group.  With no floor, the floor is
+    w0(2 rho) = -2 rho, the least key, which binds nowhere.  Raises
+    GroupSizeError once more than MAX_GROUP_ORDER elements are visited.
+    """
     reflections = _simple_matrices(rs)
-    layer = [identity(rs)]
+    start = identity(rs)
+    if floor is None:
+        floor = tuple(-c for c in start.key)
+    elif any(k < f for k, f in zip(start.key, floor)):
+        return ()
+    cap = MAX_GROUP_ORDER
+    layer = [start]
     out = list(layer)
     while layer:
         following = {}
         for i, reflection in enumerate(reflections):
+            least = floor[i]
             for sigma in layer:
-                pairing = _coroot_pairing(sigma.key, reflection)
-                if pairing > 0:
-                    key = _moved(sigma.key, i, pairing)
+                key = sigma.key
+                pairing = _coroot_pairing(key, reflection)
+                if pairing > 0 and key[i] - pairing >= least:
+                    key = _moved(key, i, pairing)
                     if key not in following:
                         following[key] = WeylElement(
                             rs=rs, key=key, word=(i + 1,) + sigma.word, length=sigma.length + 1
                         )
+                        if len(out) + len(following) > cap:
+                            raise GroupSizeError(
+                                f"walk of the Weyl group of {rs.spec.family}_{rs.spec.rank} "
+                                f"visited more than the cap of {cap} elements"
+                            )
         layer = list(following.values())
         out.extend(layer)
     return tuple(out)

@@ -524,3 +524,107 @@ def test_search_builds_each_member_once(family, rank, monkeypatch):
     aset = compute(rs, *_top_pair(rs))
     assert len(aset) > 100
     assert len(built) == len(aset) - 1
+
+
+def _whole_group_filter(rs, lam, mu):
+    """(word, key, residual) of the members, by the predicate over the whole group."""
+    residual = altset._residual_test(rs, as_weight(lam), as_weight(mu))
+    return [
+        (s.word, s.key, d)
+        for s in enumerate_group(rs)
+        if (d := residual(s)) is not None
+    ]
+
+
+def _listed(aset):
+    return [(s.word, s.key, d) for s, d in zip(aset.elements, aset.residuals)]
+
+
+def _walked_sizes(monkeypatch):
+    """Record the size of every floored walk `compute_naive` takes."""
+    sizes = []
+
+    def recorded(rs, floor=None):
+        walked = weyl._group(rs, floor)
+        sizes.append(len(walked))
+        return walked
+
+    monkeypatch.setattr(altset, "_group", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 4), ("A", 5), ("A", 6), ("B", 3), ("B", 4), ("B", 5), ("C", 4), ("D", 4), ("D", 5)],
+)
+def test_bounded_oracle_equals_whole_group_filter(family, rank, monkeypatch):
+    rs = _rs(family, rank)
+    sizes = _walked_sizes(monkeypatch)
+    pairs = sample_weight_pairs(rs, 6, seed=1) + [_top_pair(rs)]
+    for lam, mu in pairs:
+        assert _listed(compute_naive(rs, lam, mu)) == _whole_group_filter(rs, lam, mu)
+    # Every pair here is dominant integral, so each took the floored walk.
+    assert len(sizes) == len(pairs)
+    assert max(sizes) < len(enumerate_group(rs))
+
+
+def test_bounded_oracle_off_the_root_lattice(monkeypatch):
+    # lambda - mu has fractional coordinates, so no element is a member,
+    # although the floor, rounded up, still admits some of the group.
+    rs = _rs("A", 4)
+    sizes = _walked_sizes(monkeypatch)
+    lam, mu = _top_pair(rs)
+    mu = wsub(mu, fundamental_weights(rs)[0])
+    assert any(c.denominator != 1 for c in wsub(lam, mu))
+    assert _whole_group_filter(rs, lam, mu) == []
+    assert len(compute_naive(rs, lam, mu)) == 0
+    assert sizes[0] > 1
+
+
+def test_bounded_oracle_with_a_negative_difference_walks_nothing(monkeypatch):
+    rs = _rs("B", 4)
+    sizes = _walked_sizes(monkeypatch)
+    lam = rs.highest_root
+    mu = wadd(lam, (0, 1, 0, 0))
+    assert _whole_group_filter(rs, lam, mu) == []
+    assert len(compute_naive(rs, lam, mu)) == 0
+    assert sizes == [0]
+
+
+@pytest.mark.parametrize(
+    "family,rank,walked,members",
+    [
+        ("A", 10, 2801, 1248),
+        ("B", 8, 4006, 2317),
+        ("C", 8, 4026, 2451),
+        ("D", 8, 2445, 1432),
+        ("A", 12, 13362, 5959),
+    ],
+)
+def test_oracle_past_the_group_cap(family, rank, walked, members, monkeypatch):
+    # Each group is larger than MAX_GROUP_ORDER; only the bounded walk fits,
+    # and a dominant lambda never reaches the whole-group enumeration.
+    # In type A, -hr is -alpha_{1..r}, the widest pair of Harry's conjecture.
+    def refused(rs):
+        raise AssertionError("the whole group was enumerated")
+
+    monkeypatch.setattr(weyl, "enumerate_group", refused)
+    monkeypatch.setattr(altset, "enumerate_group", refused)
+    rs = _rs(family, rank)
+    assert weyl.group_order(rs) > weyl.MAX_GROUP_ORDER
+    sizes = _walked_sizes(monkeypatch)
+    lam, mu = _top_pair(rs)
+    fast = compute(rs, lam, mu)
+    slow = compute_naive(rs, lam, mu)
+    assert _listed(slow) == _listed(fast)
+    assert sizes == [walked]
+    assert len(fast) == members
+
+
+def test_bounded_walk_keeps_the_group_cap(monkeypatch):
+    rs = _rs("A", 10)
+    monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 2800)
+    with pytest.raises(weyl.GroupSizeError, match="more than the cap of 2800"):
+        compute_naive(rs, *_top_pair(rs))
+    monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 2801)
+    assert len(compute_naive(rs, *_top_pair(rs))) == 1248

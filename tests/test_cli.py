@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylalt import cli, enumeration, kostant
+from weylalt import cli, enumeration, kostant, weyl
 from weylalt.altset import from_json as altset_from_json
 from weylalt.altset import to_json as altset_to_json
 from weylalt.reporting import Report
@@ -339,6 +340,34 @@ def test_verify_suites_pass(capsys, argv):
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert re.search(r"^ok ", out, flags=re.M)
+
+
+def test_verify_ideal_oracle_rejects_a_set_missing_a_member(capsys, monkeypatch):
+    # The last member has the greatest length, so the shortened set is still
+    # an order ideal: only the oracle comparison can catch the loss.
+    real = cli.compute
+
+    def short_by_one(rs, lam, mu):
+        aset = real(rs, lam, mu)
+        return dataclasses.replace(
+            aset, elements=aset.elements[:-1], residuals=aset.residuals[:-1]
+        )
+
+    monkeypatch.setattr(cli, "compute", short_by_one)
+    code, out, _ = _run(capsys, "verify", "ideal")
+    assert code == 1
+    assert "ideal and naive computations disagree" in out
+    assert json.loads(out.splitlines()[-1])["ok"] is False
+
+
+def test_verify_ideal_past_the_walk_cap_is_one_json_line(capsys, monkeypatch):
+    monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 1)
+    code, out, err = _run(capsys, "verify", "ideal")
+    assert (code, err) == (1, "")
+    [line] = out.splitlines()
+    payload = json.loads(line)
+    assert payload["ok"] is False
+    assert "more than the cap of 1 elements" in payload["error"]
 
 
 def test_verify_conjecture_banner(capsys):
