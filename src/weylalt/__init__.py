@@ -86,7 +86,6 @@ from .weyl import (
     independent,
     influence,
     multiply,
-    parse_word,
     word_text,
 )
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
-from .altset import AlternationSet, _read_edges, _read_elements, compute
+from .altset import AlternationSet, _recomputed, compute
 from .reporting import Report
 from .rootsys import (
     RootSystem,
@@ -355,30 +355,11 @@ def to_json(rs: RootSystem, bas: BasSet) -> str:
 def from_json(rs: RootSystem, text: str) -> BasSet:
     """Read what `to_json` wrote; ValueError on a payload it could not have.
 
-    The members must be distinct and spelled as their witnesses, and the
-    dependence edges must be the loaded set's derived `dependence_edges`:
-    exactly the pairs that are not `independent`, in `to_json` order.
+    As `altset.from_json` does, the set is recomputed from `lambda` and
+    `mu`, here by `compute_bas`, and loads only when `to_json` of it is the
+    payload; an empty alternation set raises EmptyAlternationSetError.
     """
-    data = json.loads(text)
-    if data["family"] != rs.spec.family or data["rank"] != rs.spec.rank:
-        raise ValueError(
-            f"serialized set is for {data['family']}_{data['rank']}, "
-            f"not {rs.spec.family}_{rs.spec.rank}"
-        )
-    by_name = _read_elements(rs, data["members"])
-    members = tuple(by_name.values())
-    reflections = _simple_matrices(rs)
-    bas = BasSet(
-        lam=as_weight(data["lambda"]),
-        mu=as_weight(data["mu"]),
-        members=members,
-        blocked=_blocked_masks(reflections, [_influence_mask(m) for m in members]),
-    )
-    if _read_edges(by_name, data["dependence_edges"]) != bas.dependence_edges:
-        raise ValueError(
-            "dependence edges are not the pairs of members that are not independent, in order"
-        )
-    return bas
+    return _recomputed(rs, text, compute_bas, to_json)
 
 
 def to_dot(bas: BasSet) -> str:

@@ -332,7 +332,7 @@ def _suite_bijection(args) -> Report:
 def _suite_appendix(max_r: int) -> Report:
     report = Report(title="forbidden words and product trichotomy")
     report.absorb(verify_forbidden(max_r))
-    report.absorb(verify_trichotomy(4, max_r))
+    report.absorb(verify_trichotomy(max_r))
     return report
 
 

@@ -63,7 +63,6 @@ __all__ = [
     "independent",
     "enumerate_group",
     "group_order",
-    "parse_word",
     "word_text",
 ]
 
@@ -83,7 +82,7 @@ class GroupSizeError(RuntimeError):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class WeylElement:
-    """One group element: its key sigma(2 rho), a reduced-word witness, its length.
+    """One group element: its key sigma(2 rho) and a reduced-word witness.
 
     Equality and hashing look only at the key; the witness is whichever
     reduced word the constructor saw first, and any two reduced words of the
@@ -93,7 +92,6 @@ class WeylElement:
     rs: RootSystem
     key: tuple[int, ...]
     word: tuple[int, ...]
-    length: int
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
@@ -105,6 +103,11 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"WeylElement({word_text(self.word)!r})"
+
+    @property
+    def length(self) -> int:
+        """The Coxeter length: the witness is a reduced word."""
+        return len(self.word)
 
     @property
     def images(self) -> tuple[tuple[int, ...], ...]:
@@ -225,7 +228,7 @@ def _least_word(reflections: tuple[Reflection, ...], v) -> tuple[int, ...]:
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs=rs, key=_two_rho(rs), word=(), length=0)
+    return WeylElement(rs=rs, key=_two_rho(rs), word=())
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:
@@ -255,7 +258,7 @@ def from_word(rs: RootSystem, word) -> WeylElement:
         key[i] -= pairing
     if ascents < len(word):
         word = _least_word(reflections, key)
-    return WeylElement(rs=rs, key=tuple(key), word=word, length=len(word))
+    return WeylElement(rs=rs, key=tuple(key), word=word)
 
 
 def multiply(rs: RootSystem, *elements: WeylElement) -> WeylElement:
@@ -414,9 +417,8 @@ def _group(rs: RootSystem, floor=None) -> tuple[WeylElement, ...]:
                 if pairing > 0 and key[i] - pairing >= least:
                     key = _moved(key, i, pairing)
                     if key not in following:
-                        following[key] = WeylElement(
-                            rs=rs, key=key, word=(i + 1,) + sigma.word, length=sigma.length + 1
-                        )
+                        word = (i + 1,) + sigma.word
+                        following[key] = WeylElement(rs=rs, key=key, word=word)
                         if len(out) + len(following) > cap:
                             raise GroupSizeError(
                                 f"walk of the Weyl group of {rs.spec.family}_{rs.spec.rank} "
@@ -427,33 +429,8 @@ def _group(rs: RootSystem, floor=None) -> tuple[WeylElement, ...]:
     return tuple(out)
 
 
-def parse_word(text: str) -> tuple[int, ...]:
-    """Parse 's1 s2 s1', '1,2,1', or 'e' into a generator-index tuple.
-
-    >>> parse_word("s1 s3")
-    (1, 3)
-    >>> parse_word("2,1,2")
-    (2, 1, 2)
-    >>> parse_word("e")
-    ()
-    """
-    text = text.strip()
-    if text in ("", "e"):
-        return ()
-    tokens = (
-        [t.strip() for t in text.split(",")] if "," in text else text.split()
-    )
-    word = []
-    for token in tokens:
-        body = token[1:] if token.startswith("s") else token
-        if not body.isdigit():
-            raise ValueError(f"cannot read generator {token!r} in word {text!r}")
-        word.append(int(body))
-    return tuple(word)
-
-
 def word_text(word) -> str:
-    """Format a generator-index tuple the way `parse_word` reads it.
+    """Format a generator-index tuple as space-separated letters, 'e' when empty.
 
     >>> word_text((1, 3))
     's1 s3'

@@ -157,7 +157,7 @@ def test_criterion_09_oracle_equivalence():
 
 
 def test_criterion_10_trichotomy_and_forbidden_words():
-    report = verify_trichotomy(4, 8)
+    report = verify_trichotomy(8)
     assert report.ok, report.failures
     forbidden = verify_forbidden(8)
     assert forbidden.ok, forbidden.failures

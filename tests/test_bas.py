@@ -149,21 +149,41 @@ def test_classify_product_cases():
 
 
 def test_json_round_trip_is_byte_identical():
+    for family, rank in (("A", 4), ("B", 4), ("C", 4), ("D", 5)):
+        rs = _rs(family, rank)
+        for mu in (tuple(-c for c in rs.highest_root), zero_weight(rank)):
+            bas = compute_bas(rs, rs.highest_root, mu)
+            text = to_json(rs, bas)
+            # Whitespace and key order do not matter.
+            for payload in (
+                text,
+                json.dumps(json.loads(text)),
+                json.dumps(json.loads(text), sort_keys=True),
+            ):
+                again = from_json(rs, payload)
+                assert to_json(rs, again) == text
+                assert again.members == bas.members
+                assert again.dependence_edges == bas.dependence_edges
     rs, _, bas = _a4_setup()
-    text = to_json(rs, bas)
-    again = from_json(rs, text)
-    assert to_json(rs, again) == text
-    assert again.members == bas.members
-    assert again.dependence_edges == bas.dependence_edges
     with pytest.raises(ValueError, match="serialized set is for"):
-        from_json(_rs("A", 3), text)
+        from_json(_rs("A", 3), to_json(rs, bas))
+
+
+def test_from_json_rejects_a_set_missing_a_member():
+    rs, _, bas = _a4_setup()
+    data = json.loads(to_json(rs, bas))
+    assert len(data["members"]) == 7
+    gone = data["members"].pop()
+    data["dependence_edges"] = [e for e in data["dependence_edges"] if gone not in e]
+    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
+        from_json(rs, json.dumps(data))
 
 
 def test_from_json_rejects_an_edge_to_an_unlisted_element():
     rs, _, bas = _a4_setup()
     data = json.loads(to_json(rs, bas))
     data["dependence_edges"].append(["s1", "s1 s2"])
-    with pytest.raises(ValueError, match="names 's1 s2', which is not listed"):
+    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
         from_json(rs, json.dumps(data))
 
 
@@ -172,7 +192,7 @@ def test_from_json_rejects_a_duplicated_member():
     data = json.loads(to_json(rs, bas))
     assert "s2 s3 s2" in data["members"]
     data["members"].append("s3 s2 s3")
-    with pytest.raises(ValueError, match="'s3 s2 s3' repeats an element"):
+    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
         from_json(rs, json.dumps(data))
 
 
@@ -180,7 +200,7 @@ def test_from_json_rejects_a_spelling_that_is_not_the_witness():
     rs, _, bas = _a4_setup()
     data = json.loads(to_json(rs, bas))
     data["members"][0] = "s1 s1 s1"
-    with pytest.raises(ValueError, match="'s1 s1 s1' is not a reduced word"):
+    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
         from_json(rs, json.dumps(data))
 
 
@@ -188,7 +208,7 @@ def test_from_json_rejects_an_independent_pair_as_an_edge():
     rs, _, bas = _a4_setup()
     data = json.loads(to_json(rs, bas))
     data["dependence_edges"].insert(0, ["s1", "s3"])
-    with pytest.raises(ValueError, match="dependence edges are not the pairs"):
+    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
         from_json(rs, json.dumps(data))
 
 
@@ -196,7 +216,7 @@ def test_from_json_rejects_a_missing_dependence_edge():
     rs, _, bas = _a4_setup()
     data = json.loads(to_json(rs, bas))
     del data["dependence_edges"][0]
-    with pytest.raises(ValueError, match="dependence edges are not the pairs"):
+    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
         from_json(rs, json.dumps(data))
 
 

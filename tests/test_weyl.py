@@ -20,7 +20,6 @@ from weylalt import (
     independent,
     influence,
     multiply,
-    parse_word,
     word_text,
 )
 from weylalt import weyl
@@ -226,11 +225,6 @@ def test_independence():
 def test_word_text_and_parse_word():
     assert word_text(()) == "e"
     assert word_text((1, 3)) == "s1 s3"
-    assert parse_word("s1 s3") == (1, 3)
-    assert parse_word("1,3") == (1, 3)
-    assert parse_word("e") == ()
-    with pytest.raises(ValueError):
-        parse_word("sx")
 
 
 # Oracles for the step and descent kernel of `weyl`.  They share no code with
