@@ -41,6 +41,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 
 from .kostant import QPolynomial, kostant_counts
 from .reporting import Report
@@ -145,7 +146,19 @@ def contains(rs: RootSystem, lam, mu, sigma: WeylElement) -> bool:
     is dominant integral (every member lies in it) and over the whole group
     otherwise.
     """
-    return _residual_test(rs, as_weight(lam), as_weight(mu))(sigma) is not None
+    return _residual_test(rs, *_weights(rs, lam, mu))(sigma) is not None
+
+
+def _weights(rs: RootSystem, lam, mu) -> tuple[Weight, Weight]:
+    """lambda and mu as exact weights; ValueError unless each has rank entries."""
+    lam, mu = as_weight(lam), as_weight(mu)
+    for name, w in (("lambda", lam), ("mu", mu)):
+        if len(w) != rs.rank:
+            raise ValueError(
+                f"{name} has {len(w)} coordinates; "
+                f"{rs.spec.family}_{rs.spec.rank} weights have {rs.rank}"
+            )
+    return lam, mu
 
 
 def _residual_test(rs: RootSystem, lam: Weight, mu: Weight):
@@ -203,11 +216,11 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     order in which a breadth-first search first reaches each element by its
     lexicographically least reduced word, as `enumerate_group` does; the
     set is a lower ideal of the left weak order, so every member's
-    canonical parent is a member and none is missed.  Raises ValueError as
-    soon as the set's estimated memory passes MAX_SET_BYTES.
+    canonical parent is a member and none is missed.  Raises ValueError
+    unless lambda and mu have rank coordinates, and as soon as the set's
+    estimated memory passes MAX_SET_BYTES.
     """
-    lam = as_weight(lam)
-    mu = as_weight(mu)
+    lam, mu = _weights(rs, lam, mu)
     steps = _rho_shifted_pairings(rs, lam)
     if not _dominant_integral(steps):
         warnings.warn(
@@ -310,8 +323,7 @@ def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
     past MAX_GROUP_ORDER elements.  Members come from the predicate alone,
     so they share nothing with the cover rule of `compute`.
     """
-    lam = as_weight(lam)
-    mu = as_weight(mu)
+    lam, mu = _weights(rs, lam, mu)
     residual = _residual_test(rs, lam, mu)
     if _dominant_integral(_rho_shifted_pairings(rs, lam)):
         floor = tuple(
@@ -330,12 +342,19 @@ def compute_naive(rs: RootSystem, lam, mu) -> AlternationSet:
 
 
 def _alternating_sum(rs: RootSystem, lam, mu, graded: bool):
-    """Signed Kostant counts of the set's residuals, from one table."""
+    """Signed Kostant counts of the set's residuals, from one table.
+
+    Graded values are summed as coefficient lists, into one QPolynomial.
+    """
     aset = compute(rs, lam, mu)
-    total = QPolynomial() if graded else 0
-    for sigma, value in zip(aset, kostant_counts(rs, aset.residuals, graded)):
-        total = total - value if sigma.length % 2 else total + value
-    return total
+    values = kostant_counts(rs, aset.residuals, graded)
+    if not graded:
+        return sum(-v if s.length % 2 else v for s, v in zip(aset, values))
+    total = [0] * max((len(v.coeffs) for v in values), default=0)
+    for sigma, value in zip(aset, values):
+        c = value.coeffs
+        total[: len(c)] = map(sub if sigma.length % 2 else add, total, c)
+    return QPolynomial(total)
 
 
 def multiplicity(rs: RootSystem, lam, mu) -> int:
@@ -451,15 +470,21 @@ def _recomputed(rs: RootSystem, text: str, build, dump):
     `build(rs, lambda, mu)` recomputes the set, and the payload is accepted
     only when it and `dump(rs, set)` parse to the same value, so whitespace
     and key order do not matter but every field, and how each weight is
-    spelled, must be as `dump` writes it.  ValueError otherwise.
+    spelled, must be as `dump` writes it.  ValueError otherwise, also for
+    text that is not an object with `family`, `rank` and two weights.
     """
     data = json.loads(text)
-    if data["family"] != rs.spec.family or data["rank"] != rs.spec.rank:
+    try:
+        family, rank = data["family"], data["rank"]
+        lam, mu = as_weight(data["lambda"]), as_weight(data["mu"])
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"payload is not a serialized set: {exc!r}") from exc
+    if family != rs.spec.family or rank != rs.spec.rank:
         raise ValueError(
-            f"serialized set is for {data['family']}_{data['rank']}, "
+            f"serialized set is for {family}_{rank}, "
             f"not {rs.spec.family}_{rs.spec.rank}"
         )
-    built = build(rs, data["lambda"], data["mu"])
+    built = build(rs, lam, mu)
     if json.loads(dump(rs, built)) != data:
         raise ValueError("payload is not the set to_json writes for its lambda and mu")
     return built

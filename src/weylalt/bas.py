@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
-from .altset import AlternationSet, _recomputed, compute
+from .altset import AlternationSet, _recomputed, _weights, compute
 from .reporting import Report
 from .rootsys import (
     RootSystem,
@@ -154,8 +154,7 @@ def compute_bas(
     mask is computed once, connectivity is tested once per distinct mask,
     and `_blocked_masks` turns the masks into the dependence relation.
     """
-    lam = as_weight(lam)
-    mu = as_weight(mu)
+    lam, mu = _weights(rs, lam, mu)
     if aset is None:
         aset = compute(rs, lam, mu)
     if not aset.elements:

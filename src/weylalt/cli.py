@@ -18,7 +18,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from . import __version__
@@ -474,7 +474,9 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="weylalt",
         description="Weyl alternation sets, subword catalogs, and their checks.",

@@ -9,8 +9,9 @@ one expression (the empty one).
 All counts come from one table, the product over positive roots beta of
 1/(1 - q x^beta) on a box [0, top]; plain counts are that table at q = 1.
 The simple roots seed every cell c with q^height(c), and each other root
-updates the box one contiguous run of cells per choice of its leading
-coordinates.  kostant_counts reads a whole batch from one table, or raises
+updates the box by strided slices, one arithmetic progression of cells per
+point of the axes outside its largest group of axes (see _table).
+kostant_counts reads a whole batch from one table, or raises
 ValueError (exit 1 in the CLI) before allocating one whose estimated memory
 exceeds MAX_TABLE_BYTES.
 
@@ -25,10 +26,9 @@ q^2 + q
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import gt, mul
 
 from .rootsys import RootSystem, RootSystemSpec, build_root_system
 
@@ -44,14 +44,14 @@ __all__ = [
 #: estimate holds only if no transient near the table's size outlives a step,
 #: so the build keeps none: the seed looks q^height up from a list of small
 #: int heights instead of shifting the cells of the axes built so far (half
-#: the table when top_0 = 1), and a run is rewritten _PIECE cells at a time, so
-#: its new ints never coexist with all of its old ones.  Traced peaks of graded
-#: kostant_counts on the residuals of A_10 (highest root, -alpha_{1..10}),
-#: B_10 and D_10 (highest root, 0): 9.4, 7.8 and 2.8 MiB, against estimates
-#: of 9.5, 7.8 and 2.8 MiB.
+#: the table when top_0 = 1), and a progression is rewritten _PIECE cells at a
+#: time, so its new ints never coexist with all of its old ones.  Traced peaks
+#: of graded kostant_counts on the residuals of A_10 (highest root,
+#: -alpha_{1..10}), B_10 and D_10 (highest root, 0): 9.4, 7.8 and 2.8 MiB,
+#: against estimates of 9.5, 7.8 and 2.8 MiB.
 MAX_TABLE_BYTES = 2**29
 
-#: Cells rewritten per slice assignment of a longer run of the table.
+#: Cells rewritten per slice assignment of a longer progression of the table.
 _PIECE = 1024
 
 
@@ -70,10 +70,11 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(int(c) for c in coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = tuple(map(int, coeffs))
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        object.__setattr__(self, "coeffs", coeffs[:n])
 
     def __setattr__(self, name, value):
         raise AttributeError("QPolynomial is immutable")
@@ -164,14 +165,21 @@ def _table(roots, top, shift: int):
     Cells are flattened row-major; the strides are returned with them.  The
     simple roots, the unit vectors among the roots, together give q^height(c)
     to every cell c, so that is the seed.  Every other factor adds q times
-    cell c - beta into each cell c >= beta.  With b the last axis where beta
-    is nonzero, the cells c >= beta that share the coordinates before b form
-    one contiguous run, from c_b = beta_b to the end of the box on every
-    later axis.  beta is nonzero on some axis before b, so the run reads
-    cells of an earlier prefix, already finished, and never overlaps its own
-    write; the prefixes taken in order update as one run each.
+    cell c - beta into each cell c >= beta, and a root that exceeds top on
+    some axis has no such cell.  For each axis m, the group of axes m..n,
+    with beta 0 on m+1..n and n as far right as that allows, indexes one
+    arithmetic progression of the cells c >= beta: c_m from beta_m to
+    top_m and axes m+1..n over their whole ranges, stride strides[n],
+    (top_m + 1 - beta_m) strides[m] / strides[n] cells.  The group with the
+    most cells is updated by one strided slice per point of the remaining
+    axes, the points visited in lexicographic order.  beta is not simple, so
+    it is nonzero on two axes, and a group holds at most one of them: c -
+    beta is below c on some remaining axis and above it on none, so its
+    point came earlier, its cell is already final, and the slice read never
+    overlaps the slice written.
     """
-    strides = [math.prod(t + 1 for t in top[k + 1 :]) for k in range(len(top))]
+    r = len(top)
+    strides = [math.prod(t + 1 for t in top[k + 1 :]) for k in range(r)]
     heights = [0]
     for t in top:
         heights = [h + k for h in heights for k in range(t + 1)]
@@ -179,20 +187,36 @@ def _table(roots, top, shift: int):
     cells = list(map(powers.__getitem__, heights))
     del heights
     for beta in roots:
-        if sum(beta) == 1:  # a simple root, already in the seed
+        if sum(beta) == 1 or any(map(gt, beta, top)):
             continue
-        b = max(k for k, x in enumerate(beta) if x)
+        # The group of axis k ends just before the first nonzero of beta past k.
+        end, size = r - 1, 0
+        for k in range(r - 1, -1, -1):
+            if k + 1 < r and beta[k + 1]:
+                end = k
+            cells_in_group = (top[k] + 1 - beta[k]) * strides[k] // strides[end]
+            if cells_in_group > size:
+                size, m, n = cells_in_group, k, end
+        stride = strides[n]
         step = sum(map(mul, beta, strides))
-        length = (top[b] + 1 - beta[b]) * strides[b]
-        leading = [range(x, t + 1) for x, t in zip(beta[:b], top)]
-        for prefix in itertools.product(*leading):
-            start = sum(map(mul, prefix, strides)) + beta[b] * strides[b]
-            # In pieces, so a long run's new ints never all coexist with its old.
-            for lo in range(start, start + length, _PIECE):
-                hi = min(lo + _PIECE, start + length)
-                cells[lo:hi] = [
+        span = size * stride
+        piece = _PIECE * stride
+        bases = [beta[m] * strides[m]]
+        for k in (*range(m), *range(n + 1, r)):
+            s = strides[k]
+            bases = [
+                b + x for b in bases for x in range(beta[k] * s, (top[k] + 1) * s, s)
+            ]
+        for base in bases:
+            # In pieces, so a long progression's new ints never all coexist
+            # with its old.
+            for lo in range(base, base + span, piece):
+                hi = min(lo + piece, base + span)
+                cells[lo:hi:stride] = [
                     x + (y << shift)
-                    for x, y in zip(cells[lo:hi], cells[lo - step : hi - step])
+                    for x, y in zip(
+                        cells[lo:hi:stride], cells[lo - step : hi - step : stride]
+                    )
                 ]
     return cells, strides
 
@@ -230,8 +254,10 @@ def kostant_counts(rs: RootSystem, xis, graded: bool = False) -> list:
     if not graded:
         return values
     mask = (1 << shift) - 1
-    degrees = range(sum(top) + 1)
-    return [QPolynomial(v >> k * shift & mask for k in degrees) for v in values]
+    return [
+        QPolynomial(v >> k & mask for k in range(0, v.bit_length(), shift))
+        for v in values
+    ]
 
 
 def kostant_partition(rs: RootSystem, xi) -> int:

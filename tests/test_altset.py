@@ -265,6 +265,38 @@ def test_from_json_rejects_a_weight_spelled_otherwise():
         from_json(rs, json.dumps(data))
 
 
+def test_from_json_rejects_weights_longer_than_the_rank():
+    rs, data = _a3_payload()
+    data["lambda"].append("0")
+    data["mu"].append("0")
+    with pytest.raises(ValueError, match="lambda has 4 coordinates"):
+        from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_a_payload_without_mu():
+    rs, data = _a3_payload()
+    del data["mu"]
+    with pytest.raises(ValueError, match="not a serialized set"):
+        from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_json_that_is_not_an_object():
+    with pytest.raises(ValueError, match="not a serialized set"):
+        from_json(_rs("A", 3), "[1]")
+
+
+@pytest.mark.filterwarnings("ignore:lambda is not dominant integral")
+def test_weights_of_another_length_are_rejected():
+    rs = _rs("A", 3)
+    e = from_word(rs, ())
+    for lam, mu in (((1, 1, 1, 0), (0, 0, 0, 0)), ((1, 1, 1), (0, 0)), ((1, 0), (0, 0, 0))):
+        for call in (compute, compute_naive, multiplicity, q_multiplicity):
+            with pytest.raises(ValueError, match="coordinates; A_3 weights have 3"):
+                call(rs, lam, mu)
+        with pytest.raises(ValueError, match="coordinates; A_3 weights have 3"):
+            contains(rs, lam, mu, e)
+
+
 def test_from_json_rejects_an_element_outside_the_set():
     rs = _rs("A", 4)
     mu = tuple(-c for c in rs.highest_root)

@@ -179,6 +179,19 @@ def test_from_json_rejects_a_set_missing_a_member():
         from_json(rs, json.dumps(data))
 
 
+def test_from_json_rejects_a_payload_without_mu():
+    rs, _, bas = _a4_setup()
+    data = json.loads(to_json(rs, bas))
+    del data["mu"]
+    with pytest.raises(ValueError, match="not a serialized set"):
+        from_json(rs, json.dumps(data))
+
+
+def test_from_json_rejects_json_that_is_not_an_object():
+    with pytest.raises(ValueError, match="not a serialized set"):
+        from_json(_rs("A", 4), "[1]")
+
+
 def test_from_json_rejects_an_edge_to_an_unlisted_element():
     rs, _, bas = _a4_setup()
     data = json.loads(to_json(rs, bas))

@@ -697,3 +697,20 @@ def test_version_flag(capsys):
     code, out, _ = _run(capsys, "--version")
     assert code == 0
     assert out.strip().startswith("weylalt ")
+
+
+def test_one_parser_prints_what_fresh_parsers_print(capsys):
+    calls = [
+        ("mult", "--family", "A"),
+        ("counts", "--max-rank", "4"),
+        ("verify", "catalog", "--max-rank", "5"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    assert [_run(capsys, *argv) for argv in calls] == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert "required: --rank, --lambda, --mu" in fresh[0][2]
+    assert cli._build_parser.cache_info().misses == 1

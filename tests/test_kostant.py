@@ -193,10 +193,31 @@ def test_counts_match_root_recursion(family, rank):
         ("A", 1, [(0,), (3,), (7,)]),
         # alpha_1 + alpha_2 runs over the whole last axis, longer than a piece.
         ("A", 3, [(1, 1, kostant._PIECE + 76), (0, 1, 1000), (1, 0, 700), (1, 1, 3)]),
+        # Every non-simple root runs along the first axis with stride 4,
+        # longer than a piece.
+        ("A", 3, [(kostant._PIECE + 76, 1, 1), (1099, 0, 1), (600, 1, 0), (2, 1, 1)]),
     ],
 )
 def test_counts_match_root_recursion_on_edge_tops(family, rank, batch):
     _assert_counts_match_recursion(_rs(family, rank), batch)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5)]
+)
+def test_counts_match_root_recursion_in_small_pieces(monkeypatch, family, rank):
+    # Pieces of 3 cells split nearly every progression; zero axes in top
+    # shorten the groups and move the progression to other axes.
+    monkeypatch.setattr(kostant, "_PIECE", 3)
+    rs = _rs(family, rank)
+    rng = random.Random(f"kostant-pieces-{family}{rank}")
+    for _ in range(4):
+        zeros = rng.sample(range(rank), 2)
+        batch = [
+            tuple(0 if k in zeros else rng.randrange(5) for k in range(rank))
+            for _ in range(6)
+        ]
+        _assert_counts_match_recursion(rs, batch)
 
 
 def test_q_count_at_one_matches_plain_count():
@@ -273,6 +294,25 @@ def test_alternating_sums_match_brute_force_oracle(family, rank):
             assert q_mult == QPolynomial(
                 graded.get(k, 0) for k in range(max(graded, default=-1) + 1)
             )
+
+
+@pytest.mark.parametrize(
+    "family,rank,negated",
+    [("A", 4, True), ("B", 3, True), ("C", 3, True), ("A", 4, False), ("D", 4, False)],
+)
+def test_graded_sums_at_the_highest_root_match_brute_force_oracle(
+    family, rank, negated
+):
+    # Terms of both signs and of different degrees add up coefficient-wise.
+    rs = _rs(family, rank)
+    lam = rs.highest_root
+    mu = tuple(-c for c in lam) if negated else zero_weight(rank)
+    plain, graded = _oracle_alternating_sums(rs, lam, mu)
+    q_mult = q_multiplicity(rs, lam, mu)
+    assert q_mult == QPolynomial(
+        graded.get(k, 0) for k in range(max(graded, default=-1) + 1)
+    )
+    assert q_mult.evaluate(1) == plain == multiplicity(rs, lam, mu)
 
 
 def _zero_weight_closed_form(family, n, k):

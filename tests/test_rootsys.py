@@ -12,7 +12,7 @@ from weylalt import (
     partition_to_weight,
     zero_weight,
 )
-from weylalt.rootsys import wadd, wsub
+from weylalt.rootsys import _MIN_RANK, wadd, wsub
 
 ALL_SYSTEMS = [("A", 4), ("B", 3), ("C", 3), ("D", 4)]
 
@@ -46,18 +46,31 @@ def test_rank_bounds_rejected():
         RootSystemSpec("E", 6)
 
 
+def _closed_forms(family, r):
+    """|positive roots| and the highest root of each family, by formula."""
+    if family == "A":
+        return r * (r + 1) // 2, (1,) * r
+    if family == "B":
+        return r * r, (1,) + (2,) * (r - 1)
+    if family == "C":
+        return r * r, (2,) * (r - 1) + (1,)
+    return r * (r - 1), (1,) + (2,) * (r - 3) + (1, 1)
+
+
+def _ranks_to_24():
+    for family, least in _MIN_RANK.items():
+        for r in range(least, 25):
+            yield family, r, _rs(family, r)
+
+
 def test_positive_root_counts():
-    assert len(_rs("A", 4).positive_roots) == 10
-    assert len(_rs("B", 3).positive_roots) == 9
-    assert len(_rs("C", 3).positive_roots) == 9
-    assert len(_rs("D", 4).positive_roots) == 12
+    for family, r, rs in _ranks_to_24():
+        assert len(rs.positive_roots) == _closed_forms(family, r)[0], (family, r)
 
 
 def test_highest_roots():
-    assert _rs("A", 4).highest_root == (1, 1, 1, 1)
-    assert _rs("B", 3).highest_root == (1, 2, 2)
-    assert _rs("C", 3).highest_root == (2, 2, 1)
-    assert _rs("D", 4).highest_root == (1, 2, 1, 1)
+    for family, r, rs in _ranks_to_24():
+        assert rs.highest_root == _closed_forms(family, r)[1], (family, r)
 
 
 def test_cartan_matrices():
