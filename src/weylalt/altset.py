@@ -84,7 +84,6 @@ __all__ = [
     "verify_conjecture",
     "sample_weight_pairs",
     "to_json",
-    "from_json",
     "to_dot",
 ]
 
@@ -97,6 +96,21 @@ __all__ = [
 #: 1083 and 1126 with the edges derived too (the inverse keys and the edge
 #: pairs); the rest is room for entries too large for the small-int cache.
 MAX_SET_BYTES = 2**28
+
+
+def _set_budget(rank: int) -> tuple[int, str]:
+    """The most elements a set of this rank may have, and the refusal past it.
+
+    The one budget rule: `compute` stops a search once its set passes the
+    limit, and `counts` checks the sizes it will search for before it starts.
+    """
+    per_element = 1024 + 64 * rank
+    limit = MAX_SET_BYTES // per_element
+    return limit, (
+        f"alternation set of more than {limit} elements exceeds the "
+        f"budget of {MAX_SET_BYTES} bytes (~{per_element} per element "
+        f"at rank {rank})"
+    )
 
 
 @dataclass(frozen=True)
@@ -234,8 +248,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
     r = rs.rank
     reflections = _simple_matrices(rs)
     neighbours = _neighbour_columns(rs)
-    per_element = 1024 + 64 * r
-    limit = MAX_SET_BYTES // per_element
+    limit, over_budget = _set_budget(r)
     start = tuple(map(int, start_residual))
     # One layer of (element, residual, pairings).
     layer = [(identity(rs), start, tuple(steps))]
@@ -270,11 +283,7 @@ def compute(rs: RootSystem, lam, mu) -> AlternationSet:
                 elements.append(tau)
                 residuals.append(grown)
                 if len(elements) > limit:
-                    raise ValueError(
-                        f"alternation set of more than {limit} elements exceeds the "
-                        f"budget of {MAX_SET_BYTES} bytes (~{per_element} per element "
-                        f"at rank {r})"
-                    )
+                    raise ValueError(over_budget)
         layer = following
     return AlternationSet(
         lam=lam, mu=mu, elements=tuple(elements), residuals=tuple(residuals)
@@ -462,43 +471,6 @@ def to_json(rs: RootSystem, aset: AlternationSet) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _recomputed(rs: RootSystem, text: str, build, dump):
-    """The set a payload's weights give, if `dump` of it is the payload.
-
-    `build(rs, lambda, mu)` recomputes the set, and the payload is accepted
-    only when it and `dump(rs, set)` parse to the same value, so whitespace
-    and key order do not matter but every field, and how each weight is
-    spelled, must be as `dump` writes it.  ValueError otherwise, also for
-    text that is not an object with `family`, `rank` and two weights.
-    """
-    data = json.loads(text)
-    try:
-        family, rank = data["family"], data["rank"]
-        lam, mu = as_weight(data["lambda"]), as_weight(data["mu"])
-    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"payload is not a serialized set: {exc!r}") from exc
-    if family != rs.spec.family or rank != rs.spec.rank:
-        raise ValueError(
-            f"serialized set is for {family}_{rank}, "
-            f"not {rs.spec.family}_{rs.spec.rank}"
-        )
-    built = build(rs, lam, mu)
-    if json.loads(dump(rs, built)) != data:
-        raise ValueError("payload is not the set to_json writes for its lambda and mu")
-    return built
-
-
-def from_json(rs: RootSystem, text: str) -> AlternationSet:
-    """Read what `to_json` wrote; ValueError on a payload it could not have.
-
-    The set is a function of its weights, so it is recomputed from
-    `lambda` and `mu` by `compute`, and loads only when `to_json` of it is
-    the payload.  A lambda that is not dominant integral loads through the
-    warned fallback of `compute`.
-    """
-    return _recomputed(rs, text, compute, to_json)
 
 
 def to_dot(aset: AlternationSet) -> str:

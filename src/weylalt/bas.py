@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
-from .altset import AlternationSet, _recomputed, _weights, compute
+from .altset import AlternationSet, _weights, compute
 from .reporting import Report
 from .rootsys import (
     RootSystem,
@@ -62,7 +62,6 @@ __all__ = [
     "verify_bijection",
     "classify_product",
     "to_json",
-    "from_json",
     "to_dot",
 ]
 
@@ -349,16 +348,6 @@ def to_json(rs: RootSystem, bas: BasSet) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def from_json(rs: RootSystem, text: str) -> BasSet:
-    """Read what `to_json` wrote; ValueError on a payload it could not have.
-
-    As `altset.from_json` does, the set is recomputed from `lambda` and
-    `mu`, here by `compute_bas`, and loads only when `to_json` of it is the
-    payload; an empty alternation set raises EmptyAlternationSetError.
-    """
-    return _recomputed(rs, text, compute_bas, to_json)
 
 
 def to_dot(bas: BasSet) -> str:

@@ -23,6 +23,7 @@ from typing import Callable
 
 from . import __version__
 from .altset import (
+    _set_budget,
     compute,
     compute_naive,
     multiplicity,
@@ -232,6 +233,13 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_counts(args) -> int:
+    # Rank r searches A_r(hr, -alpha_{1..r}), which has h^1_r members, so an
+    # over-budget rank is refused before any rank is searched.
+    sizes = series_h(1, args.max_rank)
+    for r in range(1, args.max_rank + 1):
+        limit, over_budget = _set_budget(r)
+        if sizes.coefficient((r,)) > limit:
+            raise ValueError(over_budget)
     grand = series_grand(args.max_rank)
     triples = [
         (r, i, j)

@@ -363,9 +363,7 @@ def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     layer inside reaches every element first by its lexicographically least
     reduced word (whose first letter is its smallest left descent), so that
     word is the witness and the layer comes out sorted by it.  Raises
-    GroupSizeError for a group larger than MAX_GROUP_ORDER.  The group of
-    the last root system asked for is kept, so a sweep over many weight
-    pairs of one system enumerates it once.
+    GroupSizeError for a group larger than MAX_GROUP_ORDER.
 
     >>> rs = build_root_system(RootSystemSpec("A", 2))
     >>> len(enumerate_group(rs))
@@ -377,11 +375,6 @@ def enumerate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
             f"Weyl group of {rs.spec.family}_{rs.spec.rank} has {order} elements, "
             f"above the cap of {MAX_GROUP_ORDER}"
         )
-    return _whole_group(rs)
-
-
-@lru_cache(maxsize=1)
-def _whole_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     return _group(rs)
 
 

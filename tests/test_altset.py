@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import json
 import warnings
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from weylalt.altset import (
     compute,
     compute_naive,
     contains,
-    from_json,
     multiplicity,
     q_multiplicity,
     sample_weight_pairs,
@@ -24,6 +22,7 @@ from weylalt.altset import (
     verify_conjecture,
     verify_order_ideal,
 )
+from weylalt.bas import compute_bas
 from weylalt.kostant import QPolynomial
 from weylalt.rootsys import (
     RootSystemSpec,
@@ -223,66 +222,14 @@ def test_conjecture_report_small_rank():
     assert any("no claim of proof" in n for n in report.notes)
 
 
-def test_json_round_trip_is_byte_identical():
-    for family, rank in (("A", 4), ("B", 4), ("C", 4), ("D", 5)):
-        rs = _rs(family, rank)
-        for mu in (tuple(-c for c in rs.highest_root), zero_weight(rank)):
-            aset = compute(rs, rs.highest_root, mu)
-            text = to_json(rs, aset)
-            # Whitespace and key order do not matter.
-            for payload in (
-                text,
-                json.dumps(json.loads(text)),
-                json.dumps(json.loads(text), sort_keys=True),
-            ):
-                again = from_json(rs, payload)
-                assert to_json(rs, again) == text
-                assert again.elements == aset.elements
-                assert again.edges == aset.edges
-                assert again.residuals == aset.residuals
-    rs = _rs("A", 4)
-    text = to_json(rs, compute(rs, rs.highest_root, neg_root(rs, 1, 4)))
-    with pytest.raises(ValueError, match="serialized set is for"):
-        from_json(_rs("A", 3), text)
-
-
-def test_from_json_rejects_a_set_missing_its_last_element():
-    rs = _rs("A", 4)
-    data = json.loads(to_json(rs, compute(rs, rs.highest_root, neg_root(rs, 1, 4))))
-    assert data["size"] == len(data["elements"]) == 11
-    last = data["elements"].pop()
-    data["edges"] = [pair for pair in data["edges"] if last not in pair]
-    data["size"] -= 1
-    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
-        from_json(rs, json.dumps(data))
-
-
-def test_from_json_rejects_a_weight_spelled_otherwise():
-    rs, data = _a3_payload()
-    assert data["lambda"][0] == "1"
-    data["lambda"][0] = "2/2"
-    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
-        from_json(rs, json.dumps(data))
-
-
-def test_from_json_rejects_weights_longer_than_the_rank():
-    rs, data = _a3_payload()
-    data["lambda"].append("0")
-    data["mu"].append("0")
-    with pytest.raises(ValueError, match="lambda has 4 coordinates"):
-        from_json(rs, json.dumps(data))
-
-
-def test_from_json_rejects_a_payload_without_mu():
-    rs, data = _a3_payload()
-    del data["mu"]
-    with pytest.raises(ValueError, match="not a serialized set"):
-        from_json(rs, json.dumps(data))
-
-
-def test_from_json_rejects_json_that_is_not_an_object():
-    with pytest.raises(ValueError, match="not a serialized set"):
-        from_json(_rs("A", 3), "[1]")
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 5)])
+def test_search_and_oracle_serialize_to_the_same_bytes(family, rank):
+    rs = _rs(family, rank)
+    for mu in (tuple(-c for c in rs.highest_root), zero_weight(rank)):
+        searched = compute(rs, rs.highest_root, mu)
+        filtered = compute_naive(rs, rs.highest_root, mu)
+        assert len(searched) > 1
+        assert to_json(rs, searched) == to_json(rs, filtered)
 
 
 @pytest.mark.filterwarnings("ignore:lambda is not dominant integral")
@@ -290,22 +237,11 @@ def test_weights_of_another_length_are_rejected():
     rs = _rs("A", 3)
     e = from_word(rs, ())
     for lam, mu in (((1, 1, 1, 0), (0, 0, 0, 0)), ((1, 1, 1), (0, 0)), ((1, 0), (0, 0, 0))):
-        for call in (compute, compute_naive, multiplicity, q_multiplicity):
+        for call in (compute, compute_naive, multiplicity, q_multiplicity, compute_bas):
             with pytest.raises(ValueError, match="coordinates; A_3 weights have 3"):
                 call(rs, lam, mu)
         with pytest.raises(ValueError, match="coordinates; A_3 weights have 3"):
             contains(rs, lam, mu, e)
-
-
-def test_from_json_rejects_an_element_outside_the_set():
-    rs = _rs("A", 4)
-    mu = tuple(-c for c in rs.highest_root)
-    text = to_json(rs, compute(rs, rs.highest_root, mu))
-    assert not contains(rs, rs.highest_root, mu, from_word(rs, (1, 2)))
-    outsider = text.replace('"s3 s2"', '"s1 s2"', 1)
-    assert outsider != text
-    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
-        from_json(rs, outsider)
 
 
 def test_dot_output_shape():
@@ -440,57 +376,6 @@ def test_residual_walk_equals_matrix_predicate(family):
             assert residual(sigma) == expected
             kept += expected is not None
     assert kept > len(pairs)
-
-
-def _a3_payload():
-    rs = _rs("A", 3)
-    data = json.loads(to_json(rs, compute(rs, rs.highest_root, zero_weight(3))))
-    assert data["elements"] == ["e", "s2"] and data["edges"] == [["e", "s2"]]
-    return rs, data
-
-
-def test_from_json_rejects_an_edge_to_an_unlisted_element():
-    rs, data = _a3_payload()
-    data["edges"] = [["s2", "s1"]]
-    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
-        from_json(rs, json.dumps(data))
-
-
-def test_from_json_rejects_a_duplicated_element():
-    rs, data = _a3_payload()
-    data["elements"].append("s2")
-    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
-        from_json(rs, json.dumps(data))
-
-
-def test_from_json_rejects_a_spelling_that_is_not_the_witness():
-    rs, data = _a3_payload()
-    data["elements"] = ["e", "s2 s2 s2"]
-    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
-        from_json(rs, json.dumps(data))
-
-
-def test_from_json_rejects_a_size_that_miscounts_the_elements():
-    rs, data = _a3_payload()
-    data["size"] = 7
-    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
-        from_json(rs, json.dumps(data))
-
-
-@pytest.mark.parametrize(
-    "edges",
-    [
-        [["e", "s2"], ["e", "s2"]],  # duplicated
-        [["s2", "e"]],  # downward
-        [],  # a cover left out
-    ],
-    ids=["duplicated", "downward", "missing"],
-)
-def test_from_json_rejects_edges_that_are_not_the_covers(edges):
-    rs, data = _a3_payload()
-    data["edges"] = edges
-    with pytest.raises(ValueError, match="payload is not the set to_json writes"):
-        from_json(rs, json.dumps(data))
 
 
 def _brute_right_covers(rs, aset):

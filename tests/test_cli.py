@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylalt import cli, enumeration, kostant, weyl
-from weylalt.altset import from_json as altset_from_json
+from weylalt.altset import compute
 from weylalt.altset import to_json as altset_to_json
 from weylalt.reporting import Report
-from weylalt.rootsys import RootSystemSpec, build_root_system
+from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root
 
 
 def _run(capsys, *argv):
@@ -129,15 +129,16 @@ def test_qmult_json_coefficients(capsys):
     assert payload["coefficients"] == [0, 1, 1, 1]
 
 
-def test_altset_json_round_trip(capsys):
-    code, out, _ = _run(
+def test_altset_json_is_the_library_writer(capsys):
+    code, out, err = _run(
         capsys, "altset", "--family", "A", "--rank", "4",
         "--lambda", "highest-root", "--mu", "neg-root:1:4",
         "--format", "json",
     )
-    assert code == 0
+    assert (code, err) == (0, "")
     rs = build_root_system(RootSystemSpec("A", 4))
-    assert altset_to_json(rs, altset_from_json(rs, out)) == out
+    aset = compute(rs, rs.highest_root, neg_root(rs, 1, 4))
+    assert out == altset_to_json(rs, aset)
 
 
 # The full rank-3 cover diagram, frozen as one-line permutations obtained
@@ -514,6 +515,24 @@ def test_ideal_over_element_budget_exits_one(capsys):
     payload = json.loads(line)
     assert payload["ok"] is False
     assert "budget" in payload["error"]
+
+
+def test_counts_over_element_budget_exits_one_before_searching(capsys, monkeypatch):
+    # A_16(hr, -alpha_{1..16}) has 135383 members, past the 131072 that
+    # rank 16 may hold; counts refuses from the h^1_r series alone.
+    def no_work(*args):
+        raise AssertionError("counts worked despite the budget")
+
+    monkeypatch.setattr(cli, "series_grand", no_work)
+    monkeypatch.setattr(enumeration, "highest_root_alternation_set", no_work)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "counts", "--max-rank", "100")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"ok": false, "error": "alternation set of more than 131072 elements '
+        "exceeds the budget of 268435456 bytes (~2048 per element at rank 16)\"}\n"
+    )
 
 
 def test_library_warning_is_one_plain_stderr_line(capsys):
