@@ -71,6 +71,7 @@ from .typea import (
     psi,
     verify_catalogs,
     verify_forbidden,
+    verify_sequence_encodings,
     verify_trichotomy,
     verify_x_bijection,
     x_sequences,

@@ -102,7 +102,8 @@ def _set_budget(rank: int) -> tuple[int, str]:
     """The most elements a set of this rank may have, and the refusal past it.
 
     The one budget rule: `compute` stops a search once its set passes the
-    limit, and `counts` checks the sizes it will search for before it starts.
+    limit, and `enumeration.check_rank_budget` checks the sizes a type A
+    rank sweep will search for before it starts.
     """
     per_element = 1024 + 64 * rank
     limit = MAX_SET_BYTES // per_element

@@ -23,7 +23,6 @@ from typing import Callable
 
 from . import __version__
 from .altset import (
-    _set_budget,
     compute,
     compute_naive,
     multiplicity,
@@ -40,6 +39,7 @@ from .bas import to_json as bas_to_json
 from .enumeration import (
     DEFAULT_TRUNCATION,
     alternation_count,
+    check_rank_budget,
     series_grand,
     series_h,
     series_h_bivariate,
@@ -63,8 +63,8 @@ from .typea import (
     catalog_bas,
     verify_catalogs,
     verify_forbidden,
+    verify_sequence_encodings,
     verify_trichotomy,
-    verify_x_bijection,
 )
 from .weyl import GroupSizeError, word_text
 
@@ -233,13 +233,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_counts(args) -> int:
-    # Rank r searches A_r(hr, -alpha_{1..r}), which has h^1_r members, so an
-    # over-budget rank is refused before any rank is searched.
-    sizes = series_h(1, args.max_rank)
-    for r in range(1, args.max_rank + 1):
-        limit, over_budget = _set_budget(r)
-        if sizes.coefficient((r,)) > limit:
-            raise ValueError(over_budget)
+    check_rank_budget(args.max_rank)
     grand = series_grand(args.max_rank)
     triples = [
         (r, i, j)
@@ -344,13 +338,6 @@ def _suite_appendix(max_r: int) -> Report:
     return report
 
 
-def _suite_xbij(max_r: int) -> Report:
-    report = Report(title="sequence encodings")
-    for r in range(1, max_r + 1):
-        report.absorb(verify_x_bijection(r))
-    return report
-
-
 #: Suite name -> (default --max-rank, report builder taking the parsed
 #: arguments and the rank, banner printed above the report).  The sampled
 #: suites take --pairs and --seed instead of a rank.
@@ -362,7 +349,7 @@ _VERIFY_SUITES = {
     "genfunc": (9, lambda args, max_r: verify_generating_functions(max_r), None),
     "conjecture": (7, lambda args, max_r: verify_conjecture(max_r), _CONJECTURE_BANNER),
     "appendix": (8, lambda args, max_r: _suite_appendix(max_r), None),
-    "xbij": (10, lambda args, max_r: _suite_xbij(max_r), None),
+    "xbij": (10, lambda args, max_r: verify_sequence_encodings(max_r), None),
 }
 
 

@@ -3,10 +3,12 @@
 Counts always come from definitions: one search per rank, for
 A_r(hr, -alpha_{1,r}), serves every negated root (`_zero_span`); h^i_r
 counts the members whose residual zeros lie in [i, r], and p^i_r those
-whose influence also avoids the last generator.  The closed forms,
-recurrences, and generating functions are then checked against those
-definition values, never used to produce them; that direction is what
-makes the verification reports meaningful.
+whose influence also avoids the last generator; both read one table per
+rank (`_zero_spans`), and a sweep refuses an over-budget rank before it
+searches any (`check_rank_budget`).  The closed forms, recurrences, and
+generating functions are then checked against those definition values,
+never used to produce them; that direction is what makes the verification
+reports meaningful.
 
 The series side is a small exact power-series engine over exponent boxes.
 Everything downstream needs at most three variables (rank, start, end of
@@ -28,22 +30,23 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .altset import compute
+from .altset import _set_budget, compute
 from .reporting import Report
-from .rootsys import RootSystemSpec, build_root_system, neg_root
-from .weyl import influence
+from .rootsys import MAX_RANK, RootSystemSpec, build_root_system, neg_root
 
 __all__ = [
     "PowerSeries",
     "DEFAULT_TRUNCATION",
     "MAX_SERIES_BYTES",
-    "H1_LEADING_VALUES",
     "fibonacci",
     "count_neg_simple",
     "count_neg_height2",
     "highest_root_alternation_set",
+    "check_rank_budget",
     "alternation_count",
     "p_value",
     "h_value",
@@ -68,10 +71,6 @@ DEFAULT_TRUNCATION = 12
 #: measured 38.4 MiB (29.4 MiB before the flat list; 171,700 of its
 #: 1,030,301 cells are nonzero).
 MAX_SERIES_BYTES = 2**29
-
-#: Leading h^1_r values for r = 1..10; the sequence is catalogued externally
-#: as OEIS A196423 (recorded as a label only; nothing is fetched).
-H1_LEADING_VALUES = (1, 3, 5, 11, 26, 55, 119, 263, 573, 1248)
 
 
 def fibonacci(n: int) -> int:
@@ -149,6 +148,21 @@ def highest_root_alternation_set(r: int):
     return compute(rs, rs.highest_root, neg_root(rs, 1, r))
 
 
+def check_rank_budget(max_r: int) -> None:
+    """Raise ValueError, before any search, if a rank in 1..max_r is over budget.
+
+    Rank r searches A_r(hr, -alpha_{1,r}), whose h^1_r members the series
+    H^1(x) counts in advance; the refusal is the one `compute` stops with.
+    Ranks past rootsys.MAX_RANK are refused by their root system instead.
+    """
+    top = min(max_r, MAX_RANK)
+    sizes = series_h(1, top)
+    for r in range(1, top + 1):
+        limit, over_budget = _set_budget(r)
+        if sizes.coefficient((r,)) > limit:
+            raise ValueError(over_budget)
+
+
 def _zero_span(d) -> tuple[int, int]:
     """(first, last) 1-based coordinates where d is 0; (len(d) + 1, 0) if none.
 
@@ -164,13 +178,17 @@ def _zero_span(d) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _zero_spans(r: int) -> dict:
-    """Members of A_r(hr, -alpha_{1,r}), counted by `_zero_span`."""
-    spans: dict = {}
-    for d in highest_root_alternation_set(r).residuals:
-        span = _zero_span(d)
-        spans[span] = spans.get(span, 0) + 1
-    return spans
+def _zero_spans(r: int) -> Counter:
+    """Members of A_r(hr, -alpha_{1,r}), counted by (first, last, outside).
+
+    (first, last) is the member's `_zero_span`, and outside says whether r
+    is outside its influence, that is, s_r is not in its witness word.
+    """
+    aset = highest_root_alternation_set(r)
+    return Counter(
+        (*_zero_span(d), r not in sigma.word)
+        for sigma, d in zip(aset.elements, aset.residuals)
+    )
 
 
 def alternation_count(r: int, i: int, j: int) -> int:
@@ -181,7 +199,7 @@ def alternation_count(r: int, i: int, j: int) -> int:
     """
     if not 1 <= i <= j <= r:
         raise ValueError(f"need 1 <= i <= j <= r, got i={i}, j={j}, r={r}")
-    return sum(n for (a, b), n in _zero_spans(r).items() if i <= a and b <= j)
+    return sum(n for (a, b, _), n in _zero_spans(r).items() if i <= a and b <= j)
 
 
 def h_value(r: int, i: int) -> int:
@@ -193,38 +211,20 @@ def h_value(r: int, i: int) -> int:
     return alternation_count(r, i, r)
 
 
-@lru_cache(maxsize=None)
-def _p_values(r: int) -> tuple[int, ...]:
-    """(p^1_r, ..., p^r_r), from one pass over the rank's cached set.
-
-    Members whose influence avoids r are tallied by where their zero span
-    starts (1..r, or r + 1 with no zero); p^i_r is the tally from i on,
-    a suffix sum.
-    """
-    aset = highest_root_alternation_set(r)
-    tally = [0] * (r + 2)
-    for sigma, d in zip(aset.elements, aset.residuals):
-        if r not in influence(sigma):
-            tally[_zero_span(d)[0]] += 1
-    for start in range(r, 0, -1):
-        tally[start] += tally[start + 1]
-    return tuple(tally[1 : r + 1])
-
-
 def p_value(r: int, i: int) -> int:
     """p^i_r = members of A_r(hr, -alpha_{i,r}) whose influence avoids r.
 
     By the rule of `_zero_span`, A_r(hr, -alpha_{i,r}) is the members of
     the rank's cached A_r(hr, -alpha_{1,r}) whose zero span starts at i or
-    later, so no set is searched per i, and one pass per rank
-    (`_p_values`) counts every i.
+    later, so the count sums the table `_zero_spans` over those spans
+    whose members leave r outside.
 
     >>> [p_value(r, 1) for r in range(1, 5)]
     [1, 2, 3, 8]
     """
     if not 1 <= i <= r:
         raise ValueError(f"need 1 <= i <= r, got i={i}, r={r}")
-    return _p_values(r)[i - 1]
+    return sum(n for (a, _, outside), n in _zero_spans(r).items() if outside and i <= a)
 
 
 def verify_recurrences(max_r: int = 9) -> Report:
@@ -233,6 +233,7 @@ def verify_recurrences(max_r: int = 9) -> Report:
     All values entering the identities come from the defining filters; a
     failure message pins down the earliest offending indices.
     """
+    check_rank_budget(max_r)
     report = Report(title=f"counting recurrences up to rank {max_r}")
     report.check(p_value(1, 1) == 1, "anchor p^1_1 != 1")
     if max_r >= 2:
@@ -292,37 +293,20 @@ def verify_recurrences(max_r: int = 9) -> Report:
     return report
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class PowerSeries:
     """A sparse truncated power series with exact integer coefficients.
 
     Exponent tuples index the ordered `variables`; nothing beyond a
     variable's truncation bound is stored (the bound itself is kept).  The
-    series is a read-only result: it is built once, by `_divide`, and
-    only read afterwards.
+    series is a read-only result: it is built once, by `_divide`, which
+    stores only the nonzero coefficients inside the box, and only read
+    afterwards.
     """
 
-    __slots__ = ("variables", "truncation", "coeffs")
-
-    def __init__(self, variables, truncation, coeffs):
-        variables = tuple(variables)
-        truncation = tuple(int(t) for t in truncation)
-        if len(variables) != len(truncation):
-            raise ValueError("one truncation bound per variable is required")
-        clean = {}
-        for e, c in coeffs.items():
-            if not c:
-                continue
-            if len(e) != len(variables) or any(
-                x < 0 or x > t for x, t in zip(e, truncation)
-            ):
-                raise ValueError(f"exponent {e} falls outside the truncation box")
-            clean[tuple(e)] = c
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries is immutable")
+    variables: tuple[str, ...]
+    truncation: tuple[int, ...]
+    coeffs: dict
 
     def coefficient(self, exponents) -> int:
         exponents = tuple(exponents)
@@ -373,15 +357,13 @@ def _divide(numerator: dict, denominator: dict, variables, truncation) -> PowerS
             f"series expansion exceeds the budget of {MAX_SERIES_BYTES} bytes"
         )
     # The known coefficients live in one flat row-major list over the box,
-    # padded on each axis by the farthest a denominator term reaches past it;
-    # padded cells stay 0, so each term is one fixed offset and no read wraps.
-    # A term reaching past the whole box on some axis never meets a cell.
-    terms = [
-        (f, c) for f, c in den_rest if all(abs(a) <= t for a, t in zip(f, truncation))
-    ]
+    # padded on each axis's low side by the farthest a denominator term
+    # reaches below it (exponents are never negative); padded cells stay 0,
+    # so each term is one fixed offset and no read wraps.  A term reaching
+    # past the whole box on some axis never meets a cell.
+    terms = [(f, c) for f, c in den_rest if all(a <= t for a, t in zip(f, truncation))]
     lows = [max([0] + [f[k] for f, _ in terms]) for k in range(len(truncation))]
-    highs = [max([0] + [-f[k] for f, _ in terms]) for k in range(len(truncation))]
-    dims = [lo + t + 1 + hi for lo, t, hi in zip(lows, truncation, highs)]
+    dims = [lo + t + 1 for lo, t in zip(lows, truncation)]
     strides = [math.prod(dims[k + 1 :]) for k in range(len(dims))]
     offsets = [(sum(a * s for a, s in zip(f, strides)), c) for f, c in terms]
     flat = [0] * math.prod(dims)
@@ -411,6 +393,8 @@ def _normalize_poly(poly: dict, nvars: int) -> dict:
         e = tuple(int(x) for x in e)
         if len(e) != nvars:
             raise ValueError(f"exponent {e} has wrong arity for {nvars} variables")
+        if any(x < 0 for x in e):
+            raise ValueError(f"exponent {e} is negative")
         out[e] = out.get(e, 0) + c
     return out
 
@@ -419,8 +403,8 @@ def series_expand(numerator: dict, denominator: dict, truncation, variables=("x"
     """Expand a rational function numerator/denominator to a truncated series.
 
     Polynomials are sparse exponent-to-coefficient dicts; univariate input
-    may use bare integer exponents and a bare integer truncation.  The
-    denominator's constant term must be 1 or -1.
+    may use bare integer exponents and a bare integer truncation.  Exponents
+    must be nonnegative, and the denominator's constant term must be 1 or -1.
 
     >>> fib = series_expand({0: 1}, {0: 1, 1: -1, 2: -1}, 5)
     >>> [fib.coefficient((n,)) for n in range(6)]
@@ -429,11 +413,14 @@ def series_expand(numerator: dict, denominator: dict, truncation, variables=("x"
     variables = tuple(variables)
     if isinstance(truncation, int):
         truncation = (truncation,) * len(variables)
+    truncation = tuple(truncation)
+    if len(truncation) != len(variables):
+        raise ValueError("one truncation bound per variable is required")
     return _divide(
         _normalize_poly(numerator, len(variables)),
         _normalize_poly(denominator, len(variables)),
         variables,
-        tuple(truncation),
+        truncation,
     )
 
 
@@ -552,6 +539,7 @@ def series_grand(max_r: int) -> PowerSeries:
 
 def verify_generating_functions(max_r: int = 9) -> Report:
     """Compare every series coefficient in range against definition values."""
+    check_rank_budget(max_r)
     report = Report(title=f"generating functions up to rank {max_r}")
     for i in (1, 2, 3):
         sp = series_p(i, max_r)

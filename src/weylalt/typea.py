@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 from .altset import _residual_test
 from .bas import classify_product, compute_bas
-from .enumeration import _zero_span, h_value, highest_root_alternation_set
+from .enumeration import (
+    _zero_span,
+    check_rank_budget,
+    h_value,
+    highest_root_alternation_set,
+)
 from .reporting import Report
 from .rootsys import MAX_RANK, RootSystemSpec, as_weight, build_root_system
 from .weyl import WeylElement, from_word, identity, word_text
@@ -41,6 +46,7 @@ __all__ = [
     "x_sequences",
     "psi",
     "verify_x_bijection",
+    "verify_sequence_encodings",
 ]
 
 _SHAPE_PATTERNS = {
@@ -133,6 +139,7 @@ def verify_catalogs(max_r: int = 9) -> Report:
     so the basic subwords of A_r(hr, -alpha_{i,j}) are the rank's basic
     members whose residual zero span lies inside [i, j] (`_zero_span`).
     """
+    check_rank_budget(max_r)
     report = Report(title=f"catalogs up to rank {max_r}")
     for r in range(1, max_r + 1):
         rs = build_root_system(RootSystemSpec("A", r))
@@ -210,6 +217,7 @@ def verify_trichotomy(max_r: int = 8) -> Report:
     are read off the basic set's blocked masks, plus each member with
     itself: a nonidentity element is never independent of itself.
     """
+    check_rank_budget(max_r)
     report = Report(title=f"product trichotomy for ranks 4..{max_r}")
     for r in range(4, max_r + 1):
         rs = build_root_system(RootSystemSpec("A", r))
@@ -250,6 +258,12 @@ def _sequence_valid(entries: tuple) -> bool:
     return True
 
 
+def _check_sequence_rank(r: int) -> None:
+    """Sequences are found by filtering all 3**r candidates, so r <= 12."""
+    if not 1 <= r <= 12:
+        raise ValueError(f"need 1 <= r <= 12, got {r}")
+
+
 @dataclass(frozen=True)
 class XSequence:
     """A sequence over {0, 1, 2} where each entry counts its strictly
@@ -272,8 +286,7 @@ def x_sequences(r: int) -> list:
     >>> len(x_sequences(4))
     11
     """
-    if not 1 <= r <= 12:
-        raise ValueError(f"exhaustive filtering is limited to 1 <= r <= 12, got {r}")
+    _check_sequence_rank(r)
     return [
         XSequence(entries=candidate)
         for candidate in itertools.product((0, 1, 2), repeat=r)
@@ -333,8 +346,6 @@ def psi(x: XSequence) -> WeylElement:
 
 def verify_x_bijection(r: int) -> Report:
     """Check the sequence decoding hits A_r(hr, -hr) exactly once each."""
-    if not 1 <= r <= 12:
-        raise ValueError(f"need 1 <= r <= 12, got {r}")
     report = Report(title=f"sequence bijection at rank {r}")
     seqs = x_sequences(r)
     decoded = {}
@@ -354,4 +365,13 @@ def verify_x_bijection(r: int) -> Report:
         len(seqs) == h_value(r, 1),
         f"|X_{r}| = {len(seqs)} differs from h^1_{r} = {h_value(r, 1)}",
     )
+    return report
+
+
+def verify_sequence_encodings(max_r: int = 10) -> Report:
+    """`verify_x_bijection` at ranks 1..max_r, refusing max_r before rank 1."""
+    _check_sequence_rank(max_r)
+    report = Report(title="sequence encodings")
+    for r in range(1, max_r + 1):
+        report.absorb(verify_x_bijection(r))
     return report

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylalt import cli, enumeration, kostant, weyl
+from weylalt import cli, enumeration, kostant, typea, weyl
 from weylalt.altset import compute
 from weylalt.altset import to_json as altset_to_json
 from weylalt.reporting import Report
@@ -517,22 +517,45 @@ def test_ideal_over_element_budget_exits_one(capsys):
     assert "budget" in payload["error"]
 
 
-def test_counts_over_element_budget_exits_one_before_searching(capsys, monkeypatch):
-    # A_16(hr, -alpha_{1..16}) has 135383 members, past the 131072 that
-    # rank 16 may hold; counts refuses from the h^1_r series alone.
+# A_16(hr, -alpha_{1..16}) has 135383 members, past the 131072 that rank 16
+# may hold.
+_RANK_16_REFUSAL = (
+    "alternation set of more than 131072 elements exceeds the budget of "
+    "268435456 bytes (~2048 per element at rank 16)"
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "error"),
+    [
+        (("counts", "--max-rank", "100"), _RANK_16_REFUSAL),
+        (("counts", "--max-rank", "1000000"), _RANK_16_REFUSAL),
+        (("verify", "recurrences", "--max-rank", "16"), _RANK_16_REFUSAL),
+        (("verify", "genfunc", "--max-rank", "16"), _RANK_16_REFUSAL),
+        (("verify", "catalog", "--max-rank", "16"), _RANK_16_REFUSAL),
+        (("verify", "appendix", "--max-rank", "16"), _RANK_16_REFUSAL),
+        # Sequences are filtered from all 3**r candidates, so 12 is the limit.
+        (("verify", "xbij", "--max-rank", "13"), "need 1 <= r <= 12, got 13"),
+    ],
+    ids=["counts-100", "counts-1000000", "recurrences-16", "genfunc-16", "catalog-16",
+         "appendix-16", "xbij-13"],
+)
+def test_counts_over_element_budget_exits_one_before_searching(
+    capsys, monkeypatch, argv, error
+):
+    # Each sweep refuses its top rank before it searches rank 1; set sizes
+    # are read off the h^1_r series alone.
     def no_work(*args):
-        raise AssertionError("counts worked despite the budget")
+        raise AssertionError(f"{argv} searched despite the limit")
 
     monkeypatch.setattr(cli, "series_grand", no_work)
     monkeypatch.setattr(enumeration, "highest_root_alternation_set", no_work)
+    monkeypatch.setattr(typea, "highest_root_alternation_set", no_work)
     start = time.perf_counter()
-    code, out, err = _run(capsys, "counts", "--max-rank", "100")
+    code, out, err = _run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (1, "")
-    assert out == (
-        '{"ok": false, "error": "alternation set of more than 131072 elements '
-        "exceeds the budget of 268435456 bytes (~2048 per element at rank 16)\"}\n"
-    )
+    assert out == json.dumps({"ok": False, "error": error}) + "\n"
 
 
 def test_library_warning_is_one_plain_stderr_line(capsys):

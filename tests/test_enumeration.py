@@ -6,7 +6,6 @@ from weylalt import enumeration
 from weylalt.altset import compute
 from weylalt.bas import compute_bas
 from weylalt.enumeration import (
-    H1_LEADING_VALUES,
     PowerSeries,
     _zero_span,
     alternation_count,
@@ -58,9 +57,11 @@ def test_leading_table_blocks():
 
 
 def test_leading_column_sequence():
-    assert H1_LEADING_VALUES == (1, 3, 5, 11, 26, 55, 119, 263, 573, 1248)
+    # h^1_r for r = 1..10, catalogued externally as OEIS A196423 (a label
+    # only; nothing is fetched).
+    leading = (1, 3, 5, 11, 26, 55, 119, 263, 573, 1248)
     for r in range(1, 9):
-        assert h_value(r, 1) == H1_LEADING_VALUES[r - 1]
+        assert h_value(r, 1) == leading[r - 1]
 
 
 def test_closed_forms_match_counts():
@@ -139,6 +140,21 @@ def test_recurrence_report():
     assert report.ok and report.checked > 0
 
 
+def test_recurrences_search_once_per_rank(monkeypatch):
+    # h and p values, and every cell, read one table per rank.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    highest_root_alternation_set.cache_clear()
+    enumeration._zero_spans.cache_clear()
+    monkeypatch.setattr(enumeration, "compute", counted)
+    assert verify_recurrences(6).ok
+    assert sorted(rs.rank for rs, _, _ in calls) == [1, 2, 3, 4, 5, 6]
+
+
 def test_series_expand_engine():
     fib = series_expand({1: 1}, {0: 1, 1: -1, 2: -1}, (10,))
     assert [int(fib.coefficient((n,))) for n in range(10)] == [
@@ -157,6 +173,11 @@ def test_series_expand_engine():
         series_expand({0: 1}, {0: 2, 1: -1}, (5,))
     with pytest.raises(ValueError, match="zero constant term"):
         series_expand({0: 1}, {1: 1}, (4,))
+    # A negative exponent is refused, not dropped from the expansion.
+    with pytest.raises(ValueError, match="negative"):
+        series_expand({0: 1}, {0: 1, -1: -1}, 4)
+    with pytest.raises(ValueError, match="one truncation bound per variable"):
+        series_expand({0: 1}, {0: 1}, (3, 2))
 
 
 def test_power_series_box_discipline():
@@ -165,12 +186,6 @@ def test_power_series_box_discipline():
     assert s.coefficient((1, 1)) == 0
     # The truncation bound itself is inside the box.
     assert PowerSeries(("x", "s"), (3, 2), {(3, 2): 5}).coefficient((3, 2)) == 5
-    with pytest.raises(ValueError):
-        PowerSeries(("x",), (3, 2), {})
-    with pytest.raises(ValueError, match="outside"):
-        PowerSeries(("x", "s"), (3, 2), {(4, 0): 1})
-    with pytest.raises(ValueError, match="outside"):
-        PowerSeries(("x", "s"), (3, 2), {(0, -1): 1})
     with pytest.raises(AttributeError):
         s.coeffs = {}
     with pytest.raises(ValueError, match="exponents"):
