@@ -43,9 +43,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
 
-from .kostant import QPolynomial, kostant_counts
+from .kostant import QPolynomial, _table_shift, kostant_counts
 from .reporting import Report
 from .rootsys import (
+    MAX_RANK,
     RootSystem,
     RootSystemSpec,
     Weight,
@@ -493,7 +494,14 @@ def verify_conjecture(max_r: int = 7) -> Report:
     sum q + ... + q^r at mu = 0 and multiplicity one at every root at ranks
     1..6.  These are bounded-rank instance checks; passing them proves
     nothing beyond the ranks swept.
+
+    Every box of the sweep lies inside the (1, r) box (2, ..., 2) of the top
+    rank, so that table's size is checked before rank 1 is searched; ranks
+    past rootsys.MAX_RANK are checked at the ceiling.
     """
+    if max_r >= 1:
+        rs = build_root_system(RootSystemSpec("A", min(max_r, MAX_RANK)))
+        _table_shift(rs, (2,) * rs.rank, graded=True)
     report = Report(title=f"q-multiplicity instances up to rank {max_r}")
     for r in range(1, max_r + 1):
         rs = build_root_system(RootSystemSpec("A", r))

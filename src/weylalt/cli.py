@@ -332,6 +332,8 @@ def _suite_bijection(args) -> Report:
 
 
 def _suite_appendix(max_r: int) -> Report:
+    # verify_trichotomy's pre-check, run before verify_forbidden walks any rank.
+    check_rank_budget(max_r)
     report = Report(title="forbidden words and product trichotomy")
     report.absorb(verify_forbidden(max_r))
     report.absorb(verify_trichotomy(max_r))

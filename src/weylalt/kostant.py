@@ -13,7 +13,11 @@ updates the box by strided slices, one arithmetic progression of cells per
 point of the axes outside its largest group of axes (see _table).
 kostant_counts reads a whole batch from one table, or raises
 ValueError (exit 1 in the CLI) before allocating one whose estimated memory
-exceeds MAX_TABLE_BYTES.
+exceeds MAX_TABLE_BYTES.  The module holds one table at a time, the last one
+built, and keeps it after the call: a later batch for the same root system
+and grading whose box fits inside the held one is read from it, so a sweep
+of weights under one box builds that box once.  Any other batch empties the
+slot before its own table is built.
 
 >>> rs = build_root_system(RootSystemSpec("A", 2))
 >>> kostant_partition(rs, (1, 1))
@@ -41,6 +45,8 @@ __all__ = [
 
 #: Largest table built, in bytes.  A cell costs a list slot and an int object,
 #: about 36 bytes in CPython, plus 4 bytes per 30 bits of its width.  The
+#: held table (_held) is the one table alive: it stays after its call, and it
+#: is dropped before the next build, so two tables never coexist.  The
 #: estimate holds only if no transient near the table's size outlives a step,
 #: so the build keeps none: the seed looks q^height up from a list of small
 #: int heights instead of shifting the cells of the axes built so far (half
@@ -53,6 +59,10 @@ MAX_TABLE_BYTES = 2**29
 
 #: Cells rewritten per slice assignment of a longer progression of the table.
 _PIECE = 1024
+
+#: The last table built, (rs, graded, top, shift, cells, strides), or None.
+#: kostant_counts keeps it after the call and empties it before a build.
+_held = None
 
 
 class QPolynomial:
@@ -148,11 +158,14 @@ class QPolynomial:
 def _coordinates(rs: RootSystem, xi):
     """Exact coordinates of xi, or None when some entry is fractional or negative.
 
-    Ints are taken as they are; every other entry goes through Fraction, so
+    A vector of ints, such as every residual of `compute`, is checked for
+    signs alone; in any other vector each entry goes through Fraction, so
     strings such as "3/2" keep their meaning.
     """
     if len(xi) != rs.rank:
         raise ValueError(f"expected a vector of length {rs.rank}, got {len(xi)}")
+    if all(type(c) is int for c in xi):
+        return None if min(xi) < 0 else tuple(xi)
     out = tuple(c if type(c) is int else Fraction(c) for c in xi)
     if any(c.denominator != 1 or c < 0 for c in out):
         return None
@@ -221,25 +234,18 @@ def _table(roots, top, shift: int):
     return cells, strides
 
 
-def kostant_counts(rs: RootSystem, xis, graded: bool = False) -> list:
-    """Kostant counts (QPolynomials when graded) of every vector in xis.
+def _table_shift(rs: RootSystem, top, graded: bool) -> int:
+    """The shift of the table on [0, top], or ValueError past MAX_TABLE_BYTES.
 
-    top is the componentwise maximum of the vectors with nonnegative integer
-    coordinates; the others count 0.  Graded counts take q = 2**shift wider
-    than any coefficient, each at most the product over beta of
-    1 + min_k floor(top_k / beta_k), the multiples of beta under top; a
-    graded cell c packs height(c) + 1 of them, height(top) / 2 + 1 on average.
-    The size estimate from these widths is checked before anything is
+    Graded counts take q = 2**shift wider than any coefficient, each at most
+    the product over beta of 1 + min_k floor(top_k / beta_k), the multiples
+    of beta under top; a graded cell c packs height(c) + 1 of them,
+    height(top) / 2 + 1 on average.  Plain cells hold the bound itself.  The
+    size estimate from these widths is checked before anything is
     allocated, and the build's traced peak stays near it (see
     MAX_TABLE_BYTES).  Narrower graded cells would need P(top), which only a
     plain table gives and which costs more to build than they save.
-
-    >>> rs = build_root_system(RootSystemSpec("A", 2))
-    >>> kostant_counts(rs, [(2, 2), (1, 0), (-1, 0)])
-    [3, 1, 0]
     """
-    coords = [_coordinates(rs, xi) for xi in xis]
-    top = tuple(map(max, zip(*filter(None, coords)))) or (0,) * rs.rank
     bound = math.prod(
         1 + min(t // b for t, b in zip(top, beta) if b) for beta in rs.positive_roots
     )
@@ -249,7 +255,39 @@ def kostant_counts(rs: RootSystem, xis, graded: bool = False) -> list:
     if size > MAX_TABLE_BYTES:
         # The message names no size: one past 4300 digits cannot be formatted.
         raise ValueError(f"Kostant table exceeds the budget of {MAX_TABLE_BYTES} bytes")
-    cells, strides = _table(rs.positive_roots, top, shift)
+    return shift
+
+
+def kostant_counts(rs: RootSystem, xis, graded: bool = False) -> list:
+    """Kostant counts (QPolynomials when graded) of every vector in xis.
+
+    top is the componentwise maximum of the vectors with nonnegative integer
+    coordinates; the others count 0.  The batch is read from the held table
+    when it is for rs and graded and its top is at least top on every axis:
+    a cell's partitions use only roots under it, and the held shift is at
+    least the one top needs, so every cell under top reads as in a fresh
+    build.  Otherwise the held table is dropped and one is built for top
+    alone (never the union of the two boxes), after `_table_shift` checks
+    its size.
+
+    >>> rs = build_root_system(RootSystemSpec("A", 2))
+    >>> kostant_counts(rs, [(2, 2), (1, 0), (-1, 0)])
+    [3, 1, 0]
+    """
+    global _held
+    coords = [_coordinates(rs, xi) for xi in xis]
+    top = tuple(map(max, zip(*filter(None, coords)))) or (0,) * rs.rank
+    held = _held
+    if (
+        held is None
+        or held[0] is not rs
+        or held[1] != graded
+        or any(map(gt, top, held[2]))
+    ):
+        shift = _table_shift(rs, top, graded)
+        held = _held = None
+        held = _held = (rs, graded, top, shift, *_table(rs.positive_roots, top, shift))
+    shift, cells, strides = held[3:]
     values = [0 if c is None else cells[sum(map(mul, c, strides))] for c in coords]
     if not graded:
         return values

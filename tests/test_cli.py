@@ -13,11 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylalt import cli, enumeration, kostant, typea, weyl
+from weylalt import altset, cli, enumeration, kostant, typea, weyl
 from weylalt.altset import compute
 from weylalt.altset import to_json as altset_to_json
 from weylalt.reporting import Report
 from weylalt.rootsys import RootSystemSpec, build_root_system, neg_root
+
+
+@pytest.fixture(autouse=True)
+def _empty_held_table():
+    # A table held from an earlier test would answer the batches that fit
+    # inside it, so a test that patches kostant._table might not reach it.
+    kostant._held = None
+    yield
+    kostant._held = None
 
 
 def _run(capsys, *argv):
@@ -534,23 +543,33 @@ _RANK_16_REFUSAL = (
         (("verify", "genfunc", "--max-rank", "16"), _RANK_16_REFUSAL),
         (("verify", "catalog", "--max-rank", "16"), _RANK_16_REFUSAL),
         (("verify", "appendix", "--max-rank", "16"), _RANK_16_REFUSAL),
+        (("verify", "appendix", "--max-rank", "64"), _RANK_16_REFUSAL),
         # Sequences are filtered from all 3**r candidates, so 12 is the limit.
         (("verify", "xbij", "--max-rank", "13"), "need 1 <= r <= 12, got 13"),
+        # The (1, 14) box (2, ..., 2) of A_14 is past the table budget.
+        (
+            ("verify", "conjecture", "--max-rank", "14"),
+            f"Kostant table exceeds the budget of {kostant.MAX_TABLE_BYTES} bytes",
+        ),
     ],
     ids=["counts-100", "counts-1000000", "recurrences-16", "genfunc-16", "catalog-16",
-         "appendix-16", "xbij-13"],
+         "appendix-16", "appendix-64", "xbij-13", "conjecture-14"],
 )
 def test_counts_over_element_budget_exits_one_before_searching(
     capsys, monkeypatch, argv, error
 ):
     # Each sweep refuses its top rank before it searches rank 1; set sizes
-    # are read off the h^1_r series alone.
+    # are read off the h^1_r series alone, and the conjecture's table size
+    # off its largest box.
     def no_work(*args):
         raise AssertionError(f"{argv} searched despite the limit")
 
     monkeypatch.setattr(cli, "series_grand", no_work)
     monkeypatch.setattr(enumeration, "highest_root_alternation_set", no_work)
     monkeypatch.setattr(typea, "highest_root_alternation_set", no_work)
+    monkeypatch.setattr(typea, "from_word", no_work)
+    monkeypatch.setattr(altset, "compute", no_work)
+    monkeypatch.setattr(kostant, "_table", no_work)
     start = time.perf_counter()
     code, out, err = _run(capsys, *argv)
     assert time.perf_counter() - start < 1.0

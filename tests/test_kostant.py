@@ -14,6 +14,7 @@ from weylalt.altset import (
     multiplicity,
     q_multiplicity,
     sample_weight_pairs,
+    verify_conjecture,
 )
 from weylalt.kostant import (
     QPolynomial,
@@ -34,6 +35,28 @@ from weylalt.weyl import act, from_word
 
 def _rs(family, rank):
     return build_root_system(RootSystemSpec(family, rank))
+
+
+@pytest.fixture(autouse=True)
+def _empty_held_table():
+    # A table held from an earlier test would answer every batch that fits
+    # inside it, and the build paths a test means to exercise would not run.
+    kostant._held = None
+    yield
+    kostant._held = None
+
+
+def _counted_tables(monkeypatch):
+    """Wrap kostant._table; return the list of tops it is called with."""
+    tops = []
+    build = kostant._table
+
+    def counted(roots, top, shift):
+        tops.append(top)
+        return build(roots, top, shift)
+
+    monkeypatch.setattr(kostant, "_table", counted)
+    return tops
 
 
 def _oracle_count_by_parts(roots, target):
@@ -374,3 +397,75 @@ def test_batch_answers_match_single_vectors():
         QPolynomial(),
         QPolynomial(),
     ]
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 3), ("C", 3), ("D", 4)],
+)
+def test_batches_read_from_a_held_table_match_fresh_tables(
+    monkeypatch, family, rank
+):
+    rs = _rs(family, rank)
+    rng = random.Random(f"kostant-held-{family}{rank}")
+    big = (3,) * rank
+    runs = []
+    for graded in (False, True, True, False, True, False):
+        batch = [
+            tuple(rng.randrange(4) for _ in range(rank)) for _ in range(4)
+        ] + [(-1,) + (0,) * (rank - 1)]
+        kostant._held = None
+        runs.append((graded, batch, kostant_counts(rs, batch, graded)))
+    # Plain and graded batches interleave; each switch builds the big box
+    # once, and every batch under it is read from the held table.
+    tops = _counted_tables(monkeypatch)
+    kostant._held = None
+    for graded, batch, fresh in runs:
+        if kostant._held is None or kostant._held[1] != graded:
+            kostant_counts(rs, [big], graded)
+        built = len(tops)
+        assert kostant_counts(rs, batch, graded) == fresh
+        assert len(tops) == built
+    assert set(tops) == {big}
+
+
+def test_a_top_that_does_not_fit_rebuilds_for_that_top_only(monkeypatch):
+    rs = _rs("A", 3)
+    tops = _counted_tables(monkeypatch)
+    kostant_counts(rs, [(2, 1, 1)], graded=True)
+    kostant_counts(rs, [(1, 1, 1), (2, 0, 1)], graded=True)
+    assert tops == [(2, 1, 1)]
+    # (1, 2, 1) exceeds the held top on axis 2; the union (2, 2, 1) is not built.
+    assert kostant_counts(rs, [(1, 2, 1)], graded=True) == [
+        kostant_partition_q(rs, (1, 2, 1))
+    ]
+    assert tops == [(2, 1, 1), (1, 2, 1)]
+    # Another grading or root system does not read the held table either.
+    kostant_counts(rs, [(1, 1, 1)])
+    kostant_counts(_rs("B", 3), [(1, 1, 1)])
+    assert tops[2:] == [(1, 1, 1), (1, 1, 1)]
+    assert kostant._held[0] is _rs("B", 3)
+
+
+def test_table_is_never_built_while_one_is_held(monkeypatch):
+    build = kostant._table
+
+    def checked(roots, top, shift):
+        assert kostant._held is None, "a table was built beside the held one"
+        return build(roots, top, shift)
+
+    monkeypatch.setattr(kostant, "_table", checked)
+    rs = _rs("A", 4)
+    for lam, mu in sample_weight_pairs(rs, 6, seed=3):
+        multiplicity(rs, lam, mu)
+        q_multiplicity(rs, lam, mu)
+    assert verify_conjecture(4).ok
+    assert kostant._held is not None
+
+
+def test_conjecture_sweep_builds_one_table_per_leading_box(monkeypatch):
+    # At each rank the (1, j) boxes grow and every later (i, j) box fits
+    # inside (1, r); the rest are the plain and graded calls at ranks 1..6.
+    tops = _counted_tables(monkeypatch)
+    assert verify_conjecture(6).ok
+    assert len(tops) == 89
