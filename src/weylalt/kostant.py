@@ -46,7 +46,11 @@ __all__ = [
 #: Largest table built, in bytes.  A cell costs a list slot and an int object,
 #: about 36 bytes in CPython, plus 4 bytes per 30 bits of its width.  The
 #: held table (_held) is the one table alive: it stays after its call, and it
-#: is dropped before the next build, so two tables never coexist.  The
+#: is dropped before the next build, so two tables never coexist.  It also
+#: stays while the next call searches its alternation set, whatever its root
+#: system, and after the last call, so a process may hold one table and one
+#: set at once, as a multiplicity call does while it builds its own table:
+#: peak memory is bounded by MAX_TABLE_BYTES plus altset.MAX_SET_BYTES.  The
 #: estimate holds only if no transient near the table's size outlives a step,
 #: so the build keeps none: the seed looks q^height up from a list of small
 #: int heights instead of shifting the cells of the axes built so far (half
@@ -158,14 +162,11 @@ class QPolynomial:
 def _coordinates(rs: RootSystem, xi):
     """Exact coordinates of xi, or None when some entry is fractional or negative.
 
-    A vector of ints, such as every residual of `compute`, is checked for
-    signs alone; in any other vector each entry goes through Fraction, so
+    Ints are taken as they are; every other entry goes through Fraction, so
     strings such as "3/2" keep their meaning.
     """
     if len(xi) != rs.rank:
         raise ValueError(f"expected a vector of length {rs.rank}, got {len(xi)}")
-    if all(type(c) is int for c in xi):
-        return None if min(xi) < 0 else tuple(xi)
     out = tuple(c if type(c) is int else Fraction(c) for c in xi)
     if any(c.denominator != 1 or c < 0 for c in out):
         return None
